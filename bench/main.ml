@@ -29,6 +29,7 @@ module Types = Ddemos.Types
 module Election = Ddemos.Election
 module Cost_model = Ddemos.Cost_model
 module Liveness = Ddemos.Liveness
+module Voter_driver = Ddemos.Voter_driver
 module Ballot_gen = Ddemos.Ballot_gen
 module Ballot_store = Ddemos.Ballot_store
 module Election_store = Ddemos.Election_store
@@ -298,10 +299,7 @@ module Nat = Dd_bignum.Nat
 module Modular = Dd_bignum.Modular
 module Curve = Dd_group.Curve
 
-(* Write the microbenchmark rows as a JSON baseline artifact. The
-   [*.seed-baseline] entries are the seed revision's algorithms measured
-   in the same run (see seed_baseline.ml), so every file carries its own
-   before/after comparison — no cross-machine or cross-run deltas. *)
+(* Write the microbenchmark rows as a JSON baseline artifact. *)
 let write_json rows =
   let rows = List.sort compare rows in
   let oc = open_out "BENCH_micro.json" in
@@ -344,28 +342,20 @@ let micro () =
   let aes_w = Dd_crypto.Aes128.expand_key aes_key in
   let enc = Dd_crypto.Aes128.cbc_encrypt ~key:aes_key ~iv:(Dd_crypto.Drbg.bytes rng 16) code in
   ignore enc;
-  (* arithmetic-stack operands: fast contexts vs frozen seed baselines *)
+  (* arithmetic-stack operands *)
   let fp_secp = Curve.field (Dd_group.Group_ctx.curve gctx) in
   let fp_p256 = Modular.create Curve.nist_p256.Curve.p in
-  let bar_secp = Seed_baseline.barrett Curve.secp256k1.Curve.p in
-  let bar_p256 = Seed_baseline.barrett Curve.nist_p256.Curve.p in
   let fx = Modular.of_bytes_be fp_secp (Dd_crypto.Drbg.bytes rng 32) in
   let fy = Modular.of_bytes_be fp_secp (Dd_crypto.Drbg.bytes rng 32) in
   let px = Modular.of_bytes_be fp_p256 (Dd_crypto.Drbg.bytes rng 32) in
   let py = Modular.of_bytes_be fp_p256 (Dd_crypto.Drbg.bytes rng 32) in
   let curve = Dd_group.Group_ctx.curve gctx in
-  (* the full seed arithmetic stack, replicated (see seed_baseline.ml) *)
-  let sc = Seed_baseline.scurve Curve.secp256k1 in
-  let sg = Seed_baseline.of_curve_point curve (Curve.generator curve) in
-  let sg_table = Seed_baseline.make_base_table sc sg in
-  let pk_seed = Seed_baseline.of_curve_point curve pk in
   let scalar = Dd_group.Group_ctx.random_scalar gctx rng in
   let point = Curve.mul curve scalar (Curve.generator curve) in
-  let spoint = Seed_baseline.of_curve_point curve point in
   let pk_table = Dd_sig.Schnorr.make_pk_table gctx pk in
   let sig_s, sig_e =
-    (* signatures now encode (s, compressed R); the seed baseline's
-       (s, e) form is reconstructed by hashing R back into e *)
+    (* signatures encode (s, compressed R); the (s, e) form is
+       reconstructed by hashing R back into e *)
     let bytes = Dd_sig.Schnorr.encode gctx signature in
     let len = Curve.byte_len curve in
     let r = Option.get (Curve.decode_compressed curve (String.sub bytes len (len + 1))) in
@@ -426,10 +416,6 @@ let micro () =
              Dd_sig.Schnorr.verify_with_table gctx ~pk ~pk_table "endorse|bench|7|code" signature));
       Test.make ~name:"fig4.endorsement-verify.no-table"
         (Staged.stage (fun () -> Dd_sig.Schnorr.verify gctx ~pk "endorse|bench|7|code" signature));
-      Test.make ~name:"fig4.endorsement-verify.seed-baseline"
-        (Staged.stage (fun () ->
-             Seed_baseline.schnorr_verify gctx sc ~g_table:sg_table ~pk_seed ~pk
-               "endorse|bench|7|code" ~s:sig_s ~e:sig_e));
       Test.make ~name:"fig4.receipt-reconstruct"
         (Staged.stage (fun () -> Dd_vss.Shamir_bytes.reconstruct ~threshold:3 share_subset));
       (* fig 5a: ballot derivation (the PostgreSQL-lookup stand-in) *)
@@ -469,15 +455,11 @@ let micro () =
         (Staged.stage (fun () ->
              Ddemos.Messages.verify_ucert ucert_verifier ~election_id:"bench-ucert"
                ~quorum:ucert_quorum ucert));
-      (* arithmetic stack: field multiplication, before/after *)
+      (* arithmetic stack: field multiplication *)
       Test.make ~name:"arith.field-mul.secp256k1"
         (Staged.stage (fun () -> Modular.mul fp_secp fx fy));
-      Test.make ~name:"arith.field-mul.secp256k1.seed-baseline"
-        (Staged.stage (fun () -> Seed_baseline.field_mul bar_secp fx fy));
       Test.make ~name:"arith.field-mul.p256"
         (Staged.stage (fun () -> Modular.mul fp_p256 px py));
-      Test.make ~name:"arith.field-mul.p256.seed-baseline"
-        (Staged.stage (fun () -> Seed_baseline.field_mul bar_p256 px py));
       (* arithmetic stack: dedicated squaring kernel and Fermat inversion
          (the Montgomery-domain square-and-multiply chain) *)
       Test.make ~name:"arith.field-sqr.secp256k1"
@@ -493,8 +475,6 @@ let micro () =
         (Staged.stage (fun () -> Curve.mul curve scalar point));
       Test.make ~name:"arith.point-mul.wnaf-vartime"
         (Staged.stage (fun () -> Curve.mul_vartime curve scalar point));
-      Test.make ~name:"arith.point-mul.seed-baseline"
-        (Staged.stage (fun () -> Seed_baseline.point_mul sc scalar spoint));
       Test.make ~name:"arith.mul2-strauss-shamir"
         (Staged.stage (fun () -> Dd_group.Group_ctx.mul2_g gctx sig_s sig_e point));
       (* arithmetic stack: batch normalization (64 points) *)
@@ -733,7 +713,7 @@ let serve () =
       Types.election_id = "bench-serve" }
   in
   let votes =
-    List.init serve_votes (fun s -> { Loadgen.serial = s; Loadgen.choice = s mod 3 })
+    List.init serve_votes (fun s -> { Voter_driver.vi_serial = s; vi_choice = s mod 3 })
   in
   let ballot_for serial =
     Ballot_gen.voter_ballot ~seed ~serial ~m:cfg.Types.m_options
@@ -745,11 +725,11 @@ let serve () =
     let t0 = Unix.gettimeofday () in
     let r = Loadgen.run ~params:lg ~conn_for ~step ~ballot_for ~nv:cfg.Types.nv ~votes () in
     let dt = Unix.gettimeofday () -. t0 in
-    if r.Loadgen.receipts_ok <> serve_votes then
+    if r.Voter_driver.receipts_ok <> serve_votes then
       failwith
         (Printf.sprintf "bench serve: %d/%d receipts (lost %d)"
-           r.Loadgen.receipts_ok serve_votes r.Loadgen.lost);
-    float_of_int r.Loadgen.receipts_ok /. dt
+           r.Voter_driver.receipts_ok serve_votes r.Voter_driver.in_flight);
+    float_of_int r.Voter_driver.receipts_ok /. dt
   in
   let pipe_point ~batching clients =
     let t =

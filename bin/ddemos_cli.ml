@@ -16,6 +16,7 @@ module Election_store = Ddemos.Election_store
 module Board = Ddemos.Board
 module Auditor = Ddemos.Auditor
 module Liveness = Ddemos.Liveness
+module Voter_driver = Ddemos.Voter_driver
 module Segment = Dd_segment.Segment
 module File_device = Dd_store.File_device
 module Stats = Dd_sim.Stats
@@ -362,7 +363,7 @@ let serve_cmd =
           state_dir state_dir;
         exit 1
     in
-    let source = Runtime.source_of_layout ~devices ~seed layout in
+    let source = Ddemos.Node_source.of_layout ~devices ~seed layout in
     let params = { Runtime.default_params with Runtime.batching = not no_batch } in
     let t = Runtime.create ~params source in
     let sock_dir = match socket_dir with Some d -> d | None -> state_dir in
@@ -409,7 +410,7 @@ let serve_cmd =
       in
       let votes =
         List.init cast (fun i ->
-            { Loadgen.serial = i * (voters / cast); Loadgen.choice = i mod m })
+            { Voter_driver.vi_serial = i * (voters / cast); vi_choice = i mod m })
       in
       let conns = Hashtbl.create 64 in
       let conn_for ~client ~node =
@@ -425,8 +426,8 @@ let serve_cmd =
         cast nv clients (if no_batch then "serial" else "batched");
       let r = Loadgen.run ~params:lp ~conn_for ~step:tick ~ballot_for ~nv ~votes () in
       Printf.printf "receipts: %d/%d  (bad %d, rejected %d, exhausted %d, lost %d)\n"
-        r.Loadgen.receipts_ok cast r.Loadgen.receipts_bad r.Loadgen.rejections
-        r.Loadgen.exhausted r.Loadgen.lost;
+        r.Voter_driver.receipts_ok cast r.Voter_driver.receipts_bad r.Voter_driver.rejections
+        r.Voter_driver.exhausted r.Voter_driver.in_flight;
       Runtime.end_election t;
       ignore (Runtime.run_until_idle t);
       for j = 0 to cfg.Types.nb - 1 do
@@ -439,7 +440,7 @@ let serve_cmd =
       done;
       print_stats ();
       Array.iter Socket.close_listener listeners;
-      if r.Loadgen.receipts_ok <> cast then exit 1
+      if r.Voter_driver.receipts_ok <> cast then exit 1
     end
     else begin
       (* plain serving loop: tick the cluster, sleep when idle *)

@@ -30,8 +30,7 @@ type ctx
     instead. When [fast] is [true] (the default) the specialized
     reduction is selected for recognized primes and a Montgomery domain
     for other odd moduli; [~fast:false] forces Barrett everywhere — the
-    reference the differential tests and the seed-baseline benchmarks
-    compare against. *)
+    reference the differential tests compare against. *)
 val create : ?prime:bool -> ?fast:bool -> Nat.t -> ctx
 
 val modulus : ctx -> Nat.t

@@ -12,7 +12,7 @@
 module Net = Dd_sim.Net
 module Stats = Dd_sim.Stats
 
-type vote_intent = {
+type vote_intent = Voter_driver.vote_intent = {
   vi_serial : int;
   vi_choice : int;
 }
@@ -55,9 +55,7 @@ type params = {
   byzantine_bb : int list;      (** BB nodes serving tampered state (majority reads must mask them) *)
   faults : Dd_sim.Fault_plan.t; (** timed partitions, crashes, link faults *)
   voter_patience : float;       (** the [d] of [d]-patience *)
-  retry_backoff : float;        (** attempt k waits patience * min(backoff^(k-1), cap) *)
-  retry_cap : float;
-  retry_jitter : float;         (** relative jitter in [0, retry_jitter) per wait *)
+  retry_cap : float;            (** attempt k waits patience * min(2^(k-1), cap), plus up to 10% jitter *)
   blacklist_rounds : int;       (** full passes over the cluster before a voter gives up *)
   coin : Dd_consensus.Binary_batch.coin;
   vc_machines : int;            (** physical machines hosting VC nodes *)

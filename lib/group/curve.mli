@@ -55,7 +55,7 @@ val nist_p256 : params
 (** [create ?fast params] builds the group context, precomputing the
     field contexts and the cached [(p+1)/4] square-root exponent.
     [~fast:false] forces Barrett reduction in both fields (reference
-    path for differential tests and seed-baseline benchmarks). *)
+    path for differential tests). *)
 val create : ?fast:bool -> params -> t
 
 (** Modular context for the base field F_p (specialized reduction when

@@ -15,16 +15,17 @@ type t = {
   election_id : string;
   ea_signer : int;                   (* the EA's clique index: cfg.nv *)
   share_tags : bool;
-  min_batch : int;
   cache_cap : int;
   cache : (string, bool) Hashtbl.t;
   st : stats;
 }
 
-let create ?(cache_cap = 65536) ?(min_batch = 4) ~keys ~gctx ~election_id
-    ~ea_signer ~share_tags () =
+(* obligations before a batch pays for itself *)
+let min_batch = 4
+
+let create ?(cache_cap = 65536) ~keys ~gctx ~election_id ~ea_signer ~share_tags () =
   { keys; gctx; election_id; ea_signer; share_tags;
-    min_batch = max 2 min_batch; cache_cap = max 16 cache_cap;
+    cache_cap = max 16 cache_cap;
     cache = Hashtbl.create 1024;
     st = { batch_calls = 0; batched = 0; serial = 0; cache_hits = 0 } }
 
@@ -109,7 +110,7 @@ let preverify t msgs =
             end)
          (obligations_of t msg))
     msgs;
-  if !n_fresh >= t.min_batch then begin
+  if !n_fresh >= min_batch then begin
     let obls = List.rev !fresh in
     t.st.batch_calls <- t.st.batch_calls + 1;
     let triples = List.map (fun (_, signer, body, tag) -> (signer, body, tag)) obls in

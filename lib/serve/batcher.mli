@@ -28,7 +28,6 @@ type t
 
 val create :
   ?cache_cap:int ->
-  ?min_batch:int ->
   keys:Ddemos.Auth.keys ->
   gctx:Dd_group.Group_ctx.t ->
   election_id:string ->

@@ -1,55 +1,41 @@
-(** Closed-loop deterministic load generator for the serving runtime.
+(** Closed-loop deterministic load generator for the serving runtime:
+    the framed byte channels and the stepping loop around the shared
+    voter driver, {!Ddemos.Voter_driver}.
 
-    Drives the same voter model as the simulator's client threads —
-    per-client DRBGs seeded ["client|<seed>|<c>"], [Voter.make_plan] /
-    [Voter.pick_node] / [Voter.retry_delay] drawn in exactly the
-    simulator's order — so a serve run and an [Election.run] with the
-    same seed and vote list cast the same codes at the same nodes.
-    That is what makes transcript equivalence testable: the backends
-    must agree because their inputs agree bit-for-bit.
+    The simulator's [Election.run] runs the same driver, so a serve run
+    and a simulator run with the same seed and vote list cast the same
+    codes at the same nodes. That is what makes transcript equivalence
+    testable: the backends must agree because their inputs agree
+    bit-for-bit.
 
     Closed loop: each client keeps exactly one vote in flight and
-    submits its next one the moment the reply lands. Offered load is
-    set by the client count, the paper's Fig.-4 methodology. *)
+    submits its next one the moment the reply lands (no timeouts).
+    Offered load is set by the client count, the paper's Fig.-4
+    methodology. Client [c] speaks on Mux channel [c]; a reply on
+    another channel than the request's is dropped. *)
 
 type params = {
   lg_clients : int;
   lg_seed : string;
-  lg_patience : float;
-  lg_backoff : float;
-  lg_cap : float;
-  lg_jitter : float;
-  lg_blacklist_rounds : int;
   lg_max_steps : int;     (** driver iterations before declaring a stall *)
 }
 
-(** The simulator's defaults: 40 clients, seed "election-seed",
-    patience 20s, backoff 2 cap 8 jitter 0.1, one blacklist round. *)
+(** The simulator's defaults: 40 clients, seed "election-seed". *)
 val default_params : params
-
-type vote_intent = { serial : int; choice : int }
-
-type result = {
-  receipts_ok : int;
-  receipts_bad : int;        (** receipt mismatched the printed one *)
-  rejections : int;          (** node said no (includes overload sheds) *)
-  exhausted : int;           (** every node blacklisted; vote abandoned *)
-  lost : int;                (** in flight when the driver stalled *)
-  successes : (int * string) list;   (** (serial, cast vote code) *)
-  steps : int;               (** driver iterations used *)
-}
 
 (** [run ~conn_for ~step ~ballot_for ~nv ~votes ()] submits every
     intent and drives the server via [step] until all replies landed
-    (or the step budget is spent). [conn_for ~client ~node] opens (or
-    returns) the byte-stream connection client [client] uses to reach
-    VC node [node] — pipes in-process, sockets across them; the
-    generator frames, multiplexes and decodes on its own. *)
+    (or the step budget is spent, or 64 steps in a row did no work;
+    votes still [in_flight] then were lost). [conn_for ~client ~node]
+    opens (or returns) the byte-stream connection client [client] uses
+    to reach VC node [node] — pipes in-process, sockets across them;
+    the generator frames, multiplexes and decodes on its own. Latencies
+    in the summary are in driver steps. *)
 val run :
   ?params:params ->
   conn_for:(client:int -> node:int -> Transport.conn) ->
   step:(unit -> int) ->
   ballot_for:(int -> Ddemos.Types.ballot) ->
   nv:int ->
-  votes:vote_intent list ->
-  unit -> result
+  votes:Ddemos.Voter_driver.vote_intent list ->
+  unit -> Ddemos.Voter_driver.summary

@@ -6,30 +6,21 @@ module Bb_node = Ddemos.Bb_node
 module Ballot_store = Ddemos.Ballot_store
 module Ea = Ddemos.Ea
 module Board = Ddemos.Board
-module Election_store = Ddemos.Election_store
-module Drbg = Dd_crypto.Drbg
-module Pool = Dd_parallel.Pool
+module Node_source = Ddemos.Node_source
 
 type params = {
   batching : bool;
-  min_batch : int;
   mailbox_cap : int;
   batch_max : int;
-  out_cap : int;
-  max_frame : int;
-  pool : Pool.t option;
 }
 
-let default_params =
-  { batching = true;
-    min_batch = 4;
-    mailbox_cap = 4096;
-    batch_max = 256;
-    out_cap = 1 lsl 22;
-    max_frame = Frame.max_frame_default;
-    pool = None }
+let default_params = { batching = true; mailbox_cap = 4096; batch_max = 256 }
 
-type source = {
+(* Outbound bytes buffered per client connection before it counts as a
+   slow reader and is shed. *)
+let out_cap = 1 lsl 22
+
+type source = Node_source.t = {
   sv_cfg : Types.config;
   sv_gctx : Dd_group.Group_ctx.t;
   sv_keys : Auth.keys array;
@@ -40,61 +31,7 @@ type source = {
   sv_seed : string;
 }
 
-let source_of_setup ?(coin = Dd_consensus.Binary_batch.Local) (s : Ea.setup) =
-  { sv_cfg = s.Ea.cfg;
-    sv_gctx = s.Ea.gctx;
-    sv_keys = s.Ea.vc_keys;
-    sv_store_for = (fun node -> Ballot_store.materialized s.Ea.vc_init.(node));
-    sv_bb = Some (s.Ea.bb_init, fun (_ : int) -> None);
-    sv_verify_share_tags = true;
-    sv_coin = coin;
-    sv_seed = s.Ea.seed }
-
-let source_prf ?(scheme = Auth.Schnorr_scheme) ?(coin = Dd_consensus.Binary_batch.Local)
-    cfg ~seed =
-  let gctx = Dd_group.Group_ctx.default () in
-  { sv_cfg = cfg;
-    sv_gctx = gctx;
-    sv_keys =
-      Auth.deal_clique ~scheme ~gctx ~seed:("vc-keys|" ^ seed) ~n:(cfg.Types.nv + 1);
-    sv_store_for = (fun node -> Ballot_store.virtual_prf ~seed ~cfg ~node);
-    sv_bb = None;
-    sv_verify_share_tags = false;
-    sv_coin = coin;
-    sv_seed = seed }
-
-let source_of_layout ~devices ?(coin = Dd_consensus.Binary_batch.Local) ?seed
-    (layout : Election_store.layout) =
-  let st = layout.Election_store.l_static in
-  let cfg = st.Ea.st_cfg in
-  (* the sealed static state does not retain the EA seed (a secret);
-     the node RNG seed only drives timers and coin draws, so any
-     per-deployment string works *)
-  let seed =
-    match seed with Some s -> s | None -> "serve|" ^ cfg.Types.election_id
-  in
-  let gctx = st.Ea.st_gctx in
-  { sv_cfg = cfg;
-    sv_gctx = gctx;
-    sv_keys = st.Ea.st_vc_keys;
-    sv_store_for =
-      (fun node ->
-         Ballot_store.segmented ~gctx ~cfg
-           ~msk_share:st.Ea.st_msk_shares.(node)
-           (devices (Election_store.vc_segment node))
-           layout.Election_store.l_vc.(node));
-    sv_bb =
-      Some
-        ( { Ea.hmsk = st.Ea.st_hmsk; Ea.salt_msk = st.Ea.st_salt_msk;
-            Ea.bb_ballots = [||] },
-          fun (_ : int) ->
-            Some
-              (Board.segmented gctx
-                 (devices Election_store.bb_segment)
-                 layout.Election_store.l_bb) );
-    sv_verify_share_tags = true;
-    sv_coin = coin;
-    sv_seed = seed }
+let source_prf = Node_source.prf
 
 (* --- connections -------------------------------------------------------- *)
 
@@ -190,7 +127,7 @@ let register_conn t ~role conn =
   t.next_conn <- id + 1;
   let cs =
     { k_id = id; k_conn = conn; k_role = role;
-      k_dec = Frame.create ~max_frame:t.p.max_frame ();
+      k_dec = Frame.create ();
       k_out = new_outq (); k_open = true }
   in
   t.conns <- cs :: t.conns;
@@ -198,25 +135,15 @@ let register_conn t ~role conn =
 
 (* --- construction ------------------------------------------------------- *)
 
-let make_env t i : Vc_node.env =
-  { Vc_node.me = i;
-    cfg = t.src.sv_cfg;
-    keys = t.src.sv_keys.(i);
-    store = t.src.sv_store_for i;
-    now = (fun () -> t.clock.cnow);
-    election_start = 0.;
-    election_end = (fun () -> t.clock.cend);
-    send_vc = (fun ~dst msg -> t.staging.(i) := S_vc (dst, msg) :: !(t.staging.(i)));
-    reply =
-      (fun ~client ~req outcome ->
-         t.staging.(i) := S_client (client, req, outcome) :: !(t.staging.(i)));
-    send_bb = (fun ~dst msg -> t.staging.(i) := S_bb (dst, msg) :: !(t.staging.(i)));
-    rng = Drbg.create ~seed:(Printf.sprintf "vc-rng|%s|%d" t.src.sv_seed i);
-    consensus_coin = t.src.sv_coin;
-    verify_share_tags = t.src.sv_verify_share_tags;
-    verify_tag =
-      (if t.p.batching then Some (Batcher.verify t.batchers.(i)) else None);
-    durable = None }
+let make_env t i =
+  let stage s = t.staging.(i) := s :: !(t.staging.(i)) in
+  Node_source.vc_env t.src
+    ?verify_tag:(if t.p.batching then Some (Batcher.verify t.batchers.(i)) else None)
+    ~now:(fun () -> t.clock.cnow) ~election_end:(fun () -> t.clock.cend)
+    ~send_vc:(fun ~dst msg -> stage (S_vc (dst, msg)))
+    ~reply:(fun ~client ~req outcome -> stage (S_client (client, req, outcome)))
+    ~send_bb:(fun ~dst msg -> stage (S_bb (dst, msg)))
+    i
 
 let create ?(params = default_params) src =
   let cfg = src.sv_cfg in
@@ -234,8 +161,7 @@ let create ?(params = default_params) src =
       bb_mbox = Array.init nb (fun _ -> Mailbox.create ~capacity:params.mailbox_cap);
       batchers =
         Array.init nv (fun i ->
-            Batcher.create ~min_batch:params.min_batch
-              ~keys:src.sv_keys.(i) ~gctx:src.sv_gctx
+            Batcher.create ~keys:src.sv_keys.(i) ~gctx:src.sv_gctx
               ~election_id:cfg.Types.election_id ~ea_signer:nv
               ~share_tags:src.sv_verify_share_tags ());
       staging = Array.init nv (fun _ -> ref []);
@@ -422,7 +348,7 @@ let write_out t =
          (* slow-reader shedding: a client that will not drain its
             replies is disconnected, never buffered without bound *)
          (match conn.k_role with
-          | Client _ when q.oq_bytes > t.p.out_cap ->
+          | Client _ when q.oq_bytes > out_cap ->
             conn.k_open <- false;
             conn.k_conn.Transport.close ();
             Queue.clear q.oq;
@@ -438,16 +364,9 @@ let step t =
   t.clock.cnow <- t.clock.cnow +. 1e-6;
   let pumped = List.fold_left (fun acc c -> acc + pump_conn t c) 0 t.conns in
   let processed = ref 0 in
-  (match t.p.pool with
-   | Some pool when Pool.size pool > 1 && t.nv > 1 ->
-     let counts = Array.make t.nv 0 in
-     Pool.parallel_for pool ~chunk:1 t.nv
-       (fun i -> counts.(i) <- process_vc t i);
-     Array.iter (fun c -> processed := !processed + c) counts
-   | Some _ | None ->
-     for i = 0 to t.nv - 1 do
-       processed := !processed + process_vc t i
-     done);
+  for i = 0 to t.nv - 1 do
+    processed := !processed + process_vc t i
+  done;
   for j = 0 to t.nb - 1 do
     processed := !processed + process_bb t j
   done;

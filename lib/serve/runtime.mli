@@ -14,34 +14,31 @@
       settles the batch's signature obligations through one
       [Auth.verify_batch] first, then the unchanged sans-IO state
       machines consume the messages. Node sends are staged, not
-      transmitted — VC processing is free of cross-node writes, so it
-      can shard over the {!Dd_parallel.Pool} with deterministic
-      results.
+      transmitted, so a tick's output does not depend on the order
+      the nodes are processed in.
     + {b flush} — staged sends encode into per-connection bounded
       outbound queues (in node index order: deterministic byte
       streams), then every queue writes as much as its transport
-      accepts. A client connection whose outbound queue overflows
-      [out_cap] is a slow reader: it is closed and counted, never
+      accepts. A client connection with more than 4 MiB of replies
+      queued is a slow reader: it is closed and counted, never
       buffered unboundedly.
 
     Inter-node traffic travels through the same framed byte pipes as
     client traffic (created internally), so every hop exercises the
-    real wire path. *)
+    real wire path. Nodes are built from a {!Ddemos.Node_source}, the
+    same way the simulator builds them. *)
 
 type params = {
   batching : bool;           (** the adaptive batch-verification stage *)
-  min_batch : int;           (** obligations before a batch pays for itself *)
   mailbox_cap : int;
   batch_max : int;           (** messages a node drains per tick *)
-  out_cap : int;             (** outbound bytes buffered per client conn *)
-  max_frame : int;
-  pool : Dd_parallel.Pool.t option;  (** shards VC processing when present *)
 }
 
 val default_params : params
 
-(** Where the cluster's election state comes from. *)
-type source = {
+(** Where the cluster's election state comes from; see
+    {!Ddemos.Node_source} for the constructors. *)
+type source = Ddemos.Node_source.t = {
   sv_cfg : Ddemos.Types.config;
   sv_gctx : Dd_group.Group_ctx.t;
   sv_keys : Ddemos.Auth.keys array;           (** VC clique; index nv = EA *)
@@ -54,25 +51,14 @@ type source = {
   sv_seed : string;
 }
 
-(** Full-fidelity source from an EA setup (tests, small deployments). *)
-val source_of_setup : ?coin:Dd_consensus.Binary_batch.coin -> Ddemos.Ea.setup -> source
-
-(** PRF-derived ballots with a real signature clique — the realistic
-    hot path (every endorsement and UCERT check is a genuine Schnorr
-    verification) without the full EA setup cost. Share tags are
-    modeled away, as in the simulator's modeled runs. *)
+(** {!Ddemos.Node_source.prf}: PRF-derived ballots with a real
+    signature clique — the realistic hot path (every endorsement and
+    UCERT check is a genuine Schnorr verification) without the full EA
+    setup cost. *)
 val source_prf :
   ?scheme:Ddemos.Auth.scheme ->
   ?coin:Dd_consensus.Binary_batch.coin ->
   Ddemos.Types.config -> seed:string -> source
-
-(** Serve from an {!Ddemos.Election_store} state dir: full crypto from
-    sealed segments (the long-running deployment mode). *)
-val source_of_layout :
-  devices:(string -> Dd_store.Device.t) ->
-  ?coin:Dd_consensus.Binary_batch.coin ->
-  ?seed:string ->
-  Ddemos.Election_store.layout -> source
 
 type t
 

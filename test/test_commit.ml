@@ -108,35 +108,6 @@ let test_pedersen_codec () =
   | Some c' -> Alcotest.(check bool) "roundtrip" true (Pedersen.equal gctx c c')
   | None -> Alcotest.fail "decode failed"
 
-(* --- DEMOS encoding baseline ------------------------------------------------ *)
-
-module Demos_encoding = Dd_commit.Demos_encoding
-
-let test_demos_encoding_tally () =
-  let rng = rng () in
-  let p = Demos_encoding.make_params gctx ~n_voters:100 ~options:4 in
-  let votes = [ 0; 1; 1; 3; 1; 0; 2 ] in
-  let pairs = List.map (fun v -> Demos_encoding.commit gctx rng p ~choice:v) votes in
-  (* single-commitment-per-ballot homomorphic sum *)
-  let csum = Elgamal.sum gctx (List.map fst pairs) in
-  let osum = Elgamal.sum_openings gctx (List.map snd pairs) in
-  Alcotest.(check bool) "sum opens" true (Elgamal.verify gctx csum osum);
-  Alcotest.(check (array int)) "base-N decode" [| 2; 3; 1; 1 |]
-    (Demos_encoding.tally gctx p (List.map snd pairs))
-
-let test_demos_encoding_scalability_wall () =
-  (* the paper's criticism: with a large electorate the encoding runs
-     out of message space quickly, while the unit-vector scheme has no
-     such cap *)
-  let small = Demos_encoding.max_options gctx ~n_voters:100 in
-  let huge = Demos_encoding.max_options gctx ~n_voters:200_000_000 in
-  Alcotest.(check bool) "small electorate: plenty of options" true (small > 30);
-  Alcotest.(check bool) "US-scale electorate: under 10 options" true (huge < 10);
-  Alcotest.check_raises "over the wall"
-    (Invalid_argument "Demos_encoding.make_params: N^m exceeds the message space")
-    (fun () ->
-       ignore (Demos_encoding.make_params gctx ~n_voters:200_000_000 ~options:(huge + 1)))
-
 (* --- batch verification ------------------------------------------------------ *)
 
 module Batch = Dd_group.Batch
@@ -244,9 +215,6 @@ let () =
       ("batch",
        [ Alcotest.test_case "elgamal openings" `Quick test_elgamal_batch;
          Alcotest.test_case "unit vectors" `Quick test_unit_vector_batch ]);
-      ("demos-encoding",
-       [ Alcotest.test_case "homomorphic tally" `Quick test_demos_encoding_tally;
-         Alcotest.test_case "scalability wall" `Quick test_demos_encoding_scalability_wall ]);
       ("properties",
        List.map QCheck_alcotest.to_alcotest
          [ prop_commit_verify; prop_homomorphic; prop_unit_vector_sum_counts ]) ]

@@ -361,7 +361,7 @@ let test_bc_random_value_byzantine () =
   check_agreement_validity ~n ~byzantine:[ byz ] ~slots ~initials !decisions
 
 let prop_bc_random_initials =
-  QCheck.Test.make ~name:"consensus under random opinions and orders" ~count:15
+  QCheck.Test.make ~name:"consensus under random opinion" ~count:15
     QCheck.(pair (int_range 0 1000) (int_range 1 6))
     (fun (seed, slots) ->
        let n = 4 and f = 1 in
@@ -374,114 +374,6 @@ let prop_bc_random_initials =
        run_bus bus;
        check_agreement_validity ~n ~byzantine:[] ~slots ~initials !(cluster.decisions);
        true)
-
-(* --- FloodSet baseline ---------------------------------------------------- *)
-
-module Floodset = Dd_consensus.Floodset
-
-(* drive n FloodSet instances through synchronous rounds, with [crashed]
-   nodes dying at the start of round [crash_round] (they broadcast to a
-   prefix of peers only in that round, then stay silent) *)
-let run_floodset ~n ~f ~initials ~crashed ~crash_round ~partial =
-  let nodes = Array.init n (fun me -> Floodset.create ~n ~f ~me ~initial:initials.(me)) in
-  for round = 1 to f + 1 do
-    (* synchronous semantics: everyone's round message reflects its
-       state at the round boundary *)
-    let payloads = Array.map Floodset.round_payload nodes in
-    for src = 0 to n - 1 do
-      let status =
-        if not (List.mem src crashed) then `Full
-        else if round < crash_round then `Full
-        else if round = crash_round then `Partial  (* dies mid-broadcast *)
-        else `Dead
-      in
-      for dst = 0 to n - 1 do
-        let deliver_ok =
-          match status with
-          | `Full -> true
-          | `Partial -> dst < partial
-          | `Dead -> false
-        in
-        if dst <> src && deliver_ok then Floodset.deliver nodes.(dst) ~from:src payloads.(src)
-      done
-    done;
-    Array.iter Floodset.advance_round nodes
-  done;
-  nodes
-
-let test_floodset_agreement_no_faults () =
-  let n = 4 and f = 1 in
-  let initials = [| [ "a" ]; [ "b" ]; [ "c" ]; [ "d" ] |] in
-  let nodes = run_floodset ~n ~f ~initials ~crashed:[] ~crash_round:99 ~partial:0 in
-  let expected = [ "a"; "b"; "c"; "d" ] in
-  Array.iter
-    (fun node -> Alcotest.(check (list string)) "full union" expected (Floodset.decide node))
-    nodes
-
-let test_floodset_crash_mid_round () =
-  (* node 0 crashes during round 1 after reaching only node 1: the
-     f+1 = 2 rounds still spread "a" to everyone via node 1 *)
-  let n = 4 and f = 1 in
-  let initials = [| [ "a" ]; [ "b" ]; [ "c" ]; [ "d" ] |] in
-  let nodes = run_floodset ~n ~f ~initials ~crashed:[ 0 ] ~crash_round:1 ~partial:2 in
-  let expected = [ "a"; "b"; "c"; "d" ] in
-  List.iter
-    (fun i -> Alcotest.(check (list string)) "survivors agree" expected (Floodset.decide nodes.(i)))
-    [ 1; 2; 3 ]
-
-let test_floodset_too_many_crashes_diverge () =
-  (* with f = 1 budget but TWO staggered crashes, survivors can decide
-     different sets — the bound is tight *)
-  let n = 4 and f = 1 in
-  let initials = [| [ "a" ]; [ "b" ]; [ "c" ]; [ "d" ] |] in
-  (* node 0 reaches only node 1 in round 1 and dies; node 1 reaches
-     nobody in round 2 and dies: "a" is stranded at node 1 *)
-  let nodes = Array.init n (fun me -> Floodset.create ~n ~f ~me ~initial:initials.(me)) in
-  (* round 1: snapshot payloads first (synchronous semantics) *)
-  let payloads = Array.map Floodset.round_payload nodes in
-  Floodset.deliver nodes.(1) ~from:0 payloads.(0);
-  for src = 1 to 3 do
-    for dst = 0 to 3 do
-      if dst <> src then Floodset.deliver nodes.(dst) ~from:src payloads.(src)
-    done
-  done;
-  Array.iter Floodset.advance_round nodes;
-  (* round 2: nodes 0 and 1 silent *)
-  let payloads = Array.map Floodset.round_payload nodes in
-  for src = 2 to 3 do
-    for dst = 0 to 3 do
-      if dst <> src then Floodset.deliver nodes.(dst) ~from:src payloads.(src)
-    done
-  done;
-  Array.iter Floodset.advance_round nodes;
-  let s2 = Floodset.decide nodes.(2) and s3 = Floodset.decide nodes.(3) in
-  Alcotest.(check bool) "a is lost to survivors" true
-    (not (List.mem "a" s2) && not (List.mem "a" s3))
-
-let test_floodset_byzantine_breaks_agreement () =
-  (* the design argument: a BYZANTINE node sending different elements
-     to different peers in the last round breaks FloodSet agreement,
-     while Bracha consensus (tests above) survives exactly this *)
-  let n = 4 and f = 1 in
-  let initials = [| []; []; []; [] |] in
-  let nodes = Array.init n (fun me -> Floodset.create ~n ~f ~me ~initial:initials.(me)) in
-  (* round 1: honest nodes broadcast; byzantine node 3 stays silent *)
-  for src = 0 to 2 do
-    for dst = 0 to 3 do
-      if dst <> src then Floodset.deliver nodes.(dst) ~from:src (Floodset.round_payload nodes.(src))
-    done
-  done;
-  Array.iter Floodset.advance_round nodes;
-  (* round 2 (the last): node 3 equivocates — "x" only to node 0 *)
-  for src = 0 to 2 do
-    for dst = 0 to 3 do
-      if dst <> src then Floodset.deliver nodes.(dst) ~from:src (Floodset.round_payload nodes.(src))
-    done
-  done;
-  Floodset.deliver nodes.(0) ~from:3 [ "x" ];
-  Array.iter Floodset.advance_round nodes;
-  let s0 = Floodset.decide nodes.(0) and s1 = Floodset.decide nodes.(1) in
-  Alcotest.(check bool) "byzantine equivocation splits the decision" true (s0 <> s1)
 
 let () =
   Alcotest.run "consensus"
@@ -502,9 +394,4 @@ let () =
          Alcotest.test_case "payload codec" `Quick test_bc_payload_codec;
          Alcotest.test_case "common coin" `Quick test_bc_common_coin_mode;
          Alcotest.test_case "random-value byzantine" `Quick test_bc_random_value_byzantine;
-         QCheck_alcotest.to_alcotest prop_bc_random_initials ]);
-      ("floodset-baseline",
-       [ Alcotest.test_case "agreement, no faults" `Quick test_floodset_agreement_no_faults;
-         Alcotest.test_case "crash mid-round tolerated" `Quick test_floodset_crash_mid_round;
-         Alcotest.test_case "f+1 crashes diverge" `Quick test_floodset_too_many_crashes_diverge;
-         Alcotest.test_case "byzantine breaks it" `Quick test_floodset_byzantine_breaks_agreement ]) ]
+         QCheck_alcotest.to_alcotest prop_bc_random_initials ]) ]

@@ -1,6 +1,7 @@
 (* Core-library unit tests: ballot generation, the virtual ballot
    store, authenticators, UCERTs, EA setup invariants, liveness bounds,
-   and the majority BB reader. *)
+   the majority BB reader, and the voter driver against a scripted
+   backend. *)
 
 module Types = Ddemos.Types
 module Ballot_gen = Ddemos.Ballot_gen
@@ -9,6 +10,7 @@ module Auth = Ddemos.Auth
 module Messages = Ddemos.Messages
 module Ea = Ddemos.Ea
 module Liveness = Ddemos.Liveness
+module Voter_driver = Ddemos.Voter_driver
 module Drbg = Dd_crypto.Drbg
 module Shamir_bytes = Dd_vss.Shamir_bytes
 
@@ -270,6 +272,137 @@ let test_receipt_probability () =
       (pr > 1. -. (3. ** float_of_int (-y)))
   done
 
+(* --- voter driver against a scripted backend ------------------------------ *)
+
+(* The test plays the backend: it records every submission, holds the
+   armed timers until it fires them, and answers (or not) by hand. *)
+type fake = {
+  d : Voter_driver.t;
+  sent : (int * int * int * int * string) Queue.t;   (* client, node, req, serial, code *)
+  timers : (unit -> unit) Queue.t;
+  clock : float ref;
+  finished_calls : int ref;
+}
+
+let drv_seed = "driver-test"
+let drv_ballot serial = Ballot_gen.voter_ballot ~seed:drv_seed ~serial ~m:3
+
+let make_fake ?(clients = 1) ?(blacklist_rounds = 1) votes =
+  let sent = Queue.create () and timers = Queue.create () in
+  let clock = ref 0. and finished_calls = ref 0 in
+  let d =
+    Voter_driver.create
+      { Voter_driver.default_params with
+        Voter_driver.clients; seed = drv_seed; blacklist_rounds }
+      ~nv:4 ~ballot_for:drv_ballot
+      ~send:(fun ~client ~node ~req ~serial ~vote_code ->
+          Queue.add (client, node, req, serial, vote_code) sent)
+      ~arm_timeout:(fun ~delay:_ k -> Queue.add k timers)
+      ~now:(fun () -> !clock)
+      ~on_finished:(fun () -> incr finished_calls)
+      (List.map (fun (s, c) -> { Voter_driver.vi_serial = s; vi_choice = c }) votes)
+  in
+  for c = 0 to Voter_driver.clients d - 1 do
+    Voter_driver.start d c
+  done;
+  { d; sent; timers; clock; finished_calls }
+
+(* the printed receipt next to [code] on the serial's ballot *)
+let receipt_of serial code =
+  let b = drv_ballot serial in
+  let find part =
+    Array.to_list (Types.ballot_part b part).Types.lines
+    |> List.find_opt (fun l -> l.Types.vote_code = code)
+  in
+  match find Types.A, find Types.B with
+  | Some l, _ | None, Some l -> l.Types.receipt
+  | None, None -> Alcotest.fail "code not on the ballot"
+
+let fire_timers f =
+  while not (Queue.is_empty f.timers) do
+    (Queue.pop f.timers) ()
+  done
+
+let summary f = Voter_driver.summary f.d
+
+let test_driver_exhaustion () =
+  (* nobody ever answers: each round tries all 4 nodes once, then the
+     voter clears its blacklist and goes again, giving up after round 2 *)
+  let f = make_fake ~blacklist_rounds:2 [ (0, 1) ] in
+  fire_timers f;
+  let nodes = List.of_seq (Seq.map (fun (_, n, _, _, _) -> n) (Queue.to_seq f.sent)) in
+  Alcotest.(check int) "two rounds of four submissions" 8 (List.length nodes);
+  let round r = List.sort compare (List.filteri (fun i _ -> i / 4 = r) nodes) in
+  Alcotest.(check (list int)) "round 1 visits every node" [ 0; 1; 2; 3 ] (round 0);
+  Alcotest.(check (list int)) "round 2 visits every node" [ 0; 1; 2; 3 ] (round 1);
+  let s = summary f in
+  Alcotest.(check int) "exhausted" 1 s.Voter_driver.exhausted;
+  Alcotest.(check int) "no receipts" 0 s.Voter_driver.receipts_ok;
+  Alcotest.(check int) "nothing in flight" 0 s.Voter_driver.in_flight;
+  Alcotest.(check bool) "finished" true (Voter_driver.finished f.d);
+  Alcotest.(check int) "on_finished once" 1 !(f.finished_calls)
+
+let test_driver_bad_receipt_resubmits () =
+  let f = make_fake [ (3, 2) ] in
+  let client, node1, req1, serial, code = Queue.pop f.sent in
+  Voter_driver.on_reply f.d ~client ~req:req1 (Types.Receipt "not-the-receipt");
+  let s = summary f in
+  Alcotest.(check int) "bad receipt counted" 1 s.Voter_driver.receipts_bad;
+  (match Queue.take_opt f.sent with
+   | None -> Alcotest.fail "no resubmission"
+   | Some (client', node2, req2, serial', code') ->
+     Alcotest.(check bool) "resubmitted elsewhere" true (node2 <> node1);
+     Alcotest.(check (pair int int)) "same client, same serial" (client, serial) (client', serial');
+     Alcotest.(check string) "same code" code code';
+     f.clock := 1.5;
+     Voter_driver.on_reply f.d ~client ~req:req2 (Types.Receipt (receipt_of serial code)));
+  let s = summary f in
+  Alcotest.(check int) "receipted" 1 s.Voter_driver.receipts_ok;
+  Alcotest.(check (list (pair int string))) "success recorded" [ (serial, code) ]
+    s.Voter_driver.successes;
+  Alcotest.(check bool) "finished" true (Voter_driver.finished f.d)
+
+let test_driver_drops_misrouted_reply () =
+  let f = make_fake ~clients:2 [ (0, 0); (1, 1) ] in
+  let c0, _, req0, serial0, code0 = Queue.pop f.sent in
+  let c1, _, _, _, _ = Queue.pop f.sent in
+  Alcotest.(check (pair int int)) "one vote per client" (0, 1) (c0, c1);
+  (* client 0's receipt, addressed to client 1 *)
+  Voter_driver.on_reply f.d ~client:c1 ~req:req0 (Types.Receipt (receipt_of serial0 code0));
+  let s = summary f in
+  Alcotest.(check int) "misrouted reply ignored" 0 s.Voter_driver.receipts_ok;
+  Alcotest.(check int) "still in flight" 2 s.Voter_driver.in_flight;
+  Voter_driver.on_reply f.d ~client:c0 ~req:req0 (Types.Receipt (receipt_of serial0 code0));
+  Alcotest.(check int) "the right client's reply lands" 1
+    (summary f).Voter_driver.receipts_ok
+
+let test_driver_attempt_histogram () =
+  (* one client, three votes: receipted on the first submission, after
+     one timeout, and after a bad receipt *)
+  let f = make_fake [ (0, 0); (1, 1); (2, 2) ] in
+  let answer ?receipt () =
+    let client, _, req, serial, code = Queue.pop f.sent in
+    f.clock := !(f.clock) +. 1.;
+    let r = Option.value receipt ~default:(receipt_of serial code) in
+    Voter_driver.on_reply f.d ~client ~req (Types.Receipt r)
+  in
+  answer ();
+  (* fire only the timers armed so far: vote 1's is stale, vote 2's
+     first submission times out and is resubmitted *)
+  for _ = 1 to Queue.length f.timers do
+    (Queue.pop f.timers) ()
+  done;
+  ignore (Queue.pop f.sent);
+  answer ();
+  answer ~receipt:"forged" ();
+  answer ();
+  let s = summary f in
+  Alcotest.(check int) "three receipts" 3 s.Voter_driver.receipts_ok;
+  Alcotest.(check int) "one bad receipt" 1 s.Voter_driver.receipts_bad;
+  Alcotest.(check (array int)) "attempt histogram" [| 1; 2 |] s.Voter_driver.attempt_counts;
+  Alcotest.(check int) "a latency per receipt" 3 (Dd_sim.Stats.count s.Voter_driver.latencies);
+  Alcotest.(check bool) "finished" true (Voter_driver.finished f.d)
+
 let () =
   Alcotest.run "core"
     [ ("config", [ Alcotest.test_case "validation" `Quick test_config_validation ]);
@@ -296,4 +429,10 @@ let () =
       ("liveness",
        [ Alcotest.test_case "Twait formula" `Quick test_twait_formula;
          Alcotest.test_case "Table I monotone" `Quick test_table1_monotone;
-         Alcotest.test_case "receipt probability" `Quick test_receipt_probability ]) ]
+         Alcotest.test_case "receipt probability" `Quick test_receipt_probability ]);
+      ("voter-driver",
+       [ Alcotest.test_case "exhaustion after blacklist rounds" `Quick test_driver_exhaustion;
+         Alcotest.test_case "bad receipt resubmits elsewhere" `Quick
+           test_driver_bad_receipt_resubmits;
+         Alcotest.test_case "misrouted reply dropped" `Quick test_driver_drops_misrouted_reply;
+         Alcotest.test_case "attempt histogram" `Quick test_driver_attempt_histogram ]) ]

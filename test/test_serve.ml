@@ -17,6 +17,8 @@ module Mailbox = Dd_serve.Mailbox
 module Batcher = Dd_serve.Batcher
 module Runtime = Dd_serve.Runtime
 module Loadgen = Dd_serve.Loadgen
+module Voter_driver = Ddemos.Voter_driver
+module Node_source = Ddemos.Node_source
 module Pipe = Dd_serve.Pipe
 module Transport = Dd_serve.Transport
 
@@ -128,7 +130,7 @@ let test_batcher_verdicts () =
   let election_id = "batch-test" in
   let keys = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~gctx ~seed:"batch-clique" ~n:4 in
   let b =
-    Batcher.create ~min_batch:4 ~keys:keys.(0) ~gctx ~election_id ~ea_signer:3
+    Batcher.create ~keys:keys.(0) ~gctx ~election_id ~ea_signer:3
       ~share_tags:false ()
   in
   let body serial = Messages.endorsement_body ~election_id ~serial ~code:"c" in
@@ -177,7 +179,7 @@ let test_pipe_duplex_and_close () =
 
 let serve_cfg = { Types.default_config with Types.n_voters = 12; Types.m_options = 3 }
 
-let intents n = List.init n (fun s -> { Loadgen.serial = s; choice = s mod 3 })
+let intents n = List.init n (fun s -> { Voter_driver.vi_serial = s; vi_choice = s mod 3 })
 
 (* Full vote-collection run over the duplex-pipe transport with a
    DRBG-chopped receive path: every recv returns 1..8 bytes, so frames
@@ -193,8 +195,7 @@ let run_pipe_election ?(batching = true) ?(chopped = false) ~seed ~clients n_vot
     else Runtime.client_conn t ~node
   in
   let lg =
-    { Loadgen.default_params with
-      Loadgen.lg_clients = clients; lg_seed = seed; lg_max_steps = 200_000 }
+    { Loadgen.lg_clients = clients; lg_seed = seed; lg_max_steps = 200_000 }
   in
   let r =
     Loadgen.run ~params:lg ~conn_for ~step:(fun () -> Runtime.step t)
@@ -206,9 +207,9 @@ let run_pipe_election ?(batching = true) ?(chopped = false) ~seed ~clients n_vot
 
 let test_pipe_serving_all_receipts () =
   let t, r = run_pipe_election ~seed:"pipe-serve" ~clients:5 12 in
-  Alcotest.(check int) "all receipts" 12 r.Loadgen.receipts_ok;
-  Alcotest.(check int) "no bad receipts" 0 r.Loadgen.receipts_bad;
-  Alcotest.(check int) "nothing lost" 0 r.Loadgen.lost;
+  Alcotest.(check int) "all receipts" 12 r.Voter_driver.receipts_ok;
+  Alcotest.(check int) "no bad receipts" 0 r.Voter_driver.receipts_bad;
+  Alcotest.(check int) "nothing lost" 0 r.Voter_driver.in_flight;
   Alcotest.(check int) "no malformed frames" 0 (Runtime.stats t).Runtime.malformed;
   (* the batching stage actually amortized work *)
   let bs = Runtime.batch_stats t in
@@ -222,7 +223,7 @@ let prop_pipe_serving_torn =
     (fun salt ->
        let seed = Printf.sprintf "torn|%d" salt in
        let _, r = run_pipe_election ~chopped:true ~seed ~clients:4 8 in
-       r.Loadgen.receipts_ok = 8 && r.Loadgen.lost = 0)
+       r.Voter_driver.receipts_ok = 8 && r.Voter_driver.in_flight = 0)
 
 let test_backpressure_sheds_votes () =
   let src = Runtime.source_prf serve_cfg ~seed:"shed" in
@@ -263,6 +264,59 @@ let test_backpressure_sheds_votes () =
   Alcotest.(check int) "every vote answered" 8 !replies;
   Alcotest.(check bool) "sheds say overloaded" true (!overloaded > 0)
 
+(* A reply is for the client whose Mux channel it carries. The scripted
+   server answers every vote twice: first a spoofed rejection on
+   another client's channel, then the real receipt on the voter's own.
+   Only the second may count. *)
+let test_loadgen_ignores_wrong_channel () =
+  let seed = "wrong-channel" in
+  let ballot_for serial = Ballot_gen.voter_ballot ~seed ~serial ~m:serve_cfg.Types.m_options in
+  let receipt_of serial code =
+    let b = ballot_for serial in
+    let lines = Array.append b.Types.part_a.Types.lines b.Types.part_b.Types.lines in
+    match Array.find_opt (fun l -> l.Types.vote_code = code) lines with
+    | Some l -> l.Types.receipt
+    | None -> Alcotest.fail "code not on the ballot"
+  in
+  let server_ends = ref [] in
+  let conn_for ~client:_ ~node:_ =
+    let server, client = Pipe.pair () in
+    server_ends := (server, Frame.create ()) :: !server_ends;
+    client
+  in
+  let reply conn ~channel ~req outcome =
+    ignore
+      (Transport.send_string conn
+         (Frame.encode (Mux.encode gctx (Mux.Client_reply { channel; req; outcome })))
+       : int)
+  in
+  let step () =
+    List.fold_left
+      (fun work (conn, dec) ->
+         Frame.feed dec (Transport.recv_all conn);
+         let rec answer work =
+           match Frame.pop dec with
+           | None -> work
+           | Some payload ->
+             (match Mux.decode gctx payload with
+              | Some (Mux.Client_vote { channel; req; serial; vote_code }) ->
+                reply conn ~channel:(channel + 1) ~req (Types.Rejected "spoofed");
+                reply conn ~channel ~req (Types.Receipt (receipt_of serial vote_code))
+              | Some _ | None -> ());
+             answer (work + 1)
+         in
+         answer work)
+      0 !server_ends
+  in
+  let r =
+    Loadgen.run
+      ~params:{ Loadgen.lg_clients = 2; lg_seed = seed; lg_max_steps = 1000 }
+      ~conn_for ~step ~ballot_for ~nv:serve_cfg.Types.nv ~votes:(intents 4) ()
+  in
+  Alcotest.(check int) "every vote receipted" 4 r.Voter_driver.receipts_ok;
+  Alcotest.(check int) "spoofed replies ignored" 0 r.Voter_driver.rejections;
+  Alcotest.(check int) "nothing lost" 0 r.Voter_driver.in_flight
+
 (* --- transcript equivalence against the simulator ----------------------- *)
 
 let eq_cfg = { Types.default_config with Types.n_voters = 8; Types.m_options = 3 }
@@ -280,28 +334,24 @@ let test_transcript_equivalence () =
   let seed = "serve-eq" in
   let clients = 3 in
   (* simulator run *)
-  let p =
-    Election.default_params ~fidelity:(Election.Full setup) eq_cfg
-      ~votes:(List.map (fun (s, c) -> { Election.vi_serial = s; Election.vi_choice = c }) eq_votes)
-  in
+  let votes = List.map (fun (s, c) -> { Voter_driver.vi_serial = s; vi_choice = c }) eq_votes in
+  let p = Election.default_params ~fidelity:(Election.Full setup) eq_cfg ~votes in
   let sim = Election.run { p with Election.seed; concurrent_clients = clients } in
   (* serving run over duplex pipes, batching on *)
-  let t = Runtime.create (Runtime.source_of_setup setup) in
+  let t = Runtime.create (Node_source.of_setup setup) in
   let lg = { Loadgen.default_params with Loadgen.lg_clients = clients; lg_seed = seed } in
   let r =
     Loadgen.run ~params:lg
       ~conn_for:(fun ~client:_ ~node -> Runtime.client_conn t ~node)
       ~step:(fun () -> Runtime.step t)
       ~ballot_for:(fun serial -> setup.Ea.ballots.(serial))
-      ~nv:eq_cfg.Types.nv
-      ~votes:(List.map (fun (s, c) -> { Loadgen.serial = s; choice = c }) eq_votes)
-      ()
+      ~nv:eq_cfg.Types.nv ~votes ()
   in
-  Alcotest.(check int) "receipts agree" sim.Election.receipts_ok r.Loadgen.receipts_ok;
+  Alcotest.(check int) "receipts agree" sim.Election.receipts_ok r.Voter_driver.receipts_ok;
   Alcotest.(check int) "no rejections either way"
-    sim.Election.rejections r.Loadgen.rejections;
+    sim.Election.rejections r.Voter_driver.rejections;
   Alcotest.(check (list (pair int string))) "identical cast codes"
-    (sorted sim.Election.successes) (sorted r.Loadgen.successes);
+    (sorted sim.Election.successes) (sorted r.Voter_driver.successes);
   (* drive vote set consensus to the bulletin boards and compare the
      agreed final sets *)
   Runtime.end_election t;
@@ -327,14 +377,14 @@ let test_transcript_equivalence () =
       (Printf.sprintf "final set agrees (BB %d)" j) sim_final (serve_final j)
   done;
   Alcotest.(check (list (pair int string))) "final set = cast codes"
-    (sorted r.Loadgen.successes) sim_final
+    (sorted r.Voter_driver.successes) sim_final
 
 (* Batching must be outcome-invisible: the same serve run with the
    batcher disabled produces the identical transcript. *)
 let test_batching_transparent () =
   let run batching =
     let _, r = run_pipe_election ~batching ~seed:"batch-eq" ~clients:5 12 in
-    (r.Loadgen.receipts_ok, sorted r.Loadgen.successes)
+    (r.Voter_driver.receipts_ok, sorted r.Voter_driver.successes)
   in
   let ok_on, s_on = run true in
   let ok_off, s_off = run false in
@@ -356,7 +406,9 @@ let () =
       ("runtime",
        [ Alcotest.test_case "all receipts" `Quick test_pipe_serving_all_receipts;
          Alcotest.test_case "backpressure sheds" `Quick test_backpressure_sheds_votes;
-         Alcotest.test_case "batching transparent" `Quick test_batching_transparent ]
+         Alcotest.test_case "batching transparent" `Quick test_batching_transparent;
+         Alcotest.test_case "reply on the wrong channel ignored" `Quick
+           test_loadgen_ignores_wrong_channel ]
        @ List.map QCheck_alcotest.to_alcotest [ prop_pipe_serving_torn ]);
       ("equivalence",
        [ Alcotest.test_case "serve = sim" `Quick test_transcript_equivalence ]) ]
