@@ -344,11 +344,8 @@ let micro () =
   ignore enc;
   (* arithmetic-stack operands *)
   let fp_secp = Curve.field (Dd_group.Group_ctx.curve gctx) in
-  let fp_p256 = Modular.create Curve.nist_p256.Curve.p in
   let fx = Modular.of_bytes_be fp_secp (Dd_crypto.Drbg.bytes rng 32) in
   let fy = Modular.of_bytes_be fp_secp (Dd_crypto.Drbg.bytes rng 32) in
-  let px = Modular.of_bytes_be fp_p256 (Dd_crypto.Drbg.bytes rng 32) in
-  let py = Modular.of_bytes_be fp_p256 (Dd_crypto.Drbg.bytes rng 32) in
   let curve = Dd_group.Group_ctx.curve gctx in
   let scalar = Dd_group.Group_ctx.random_scalar gctx rng in
   let point = Curve.mul curve scalar (Curve.generator curve) in
@@ -458,18 +455,12 @@ let micro () =
       (* arithmetic stack: field multiplication *)
       Test.make ~name:"arith.field-mul.secp256k1"
         (Staged.stage (fun () -> Modular.mul fp_secp fx fy));
-      Test.make ~name:"arith.field-mul.p256"
-        (Staged.stage (fun () -> Modular.mul fp_p256 px py));
       (* arithmetic stack: dedicated squaring kernel and Fermat inversion
          (the Montgomery-domain square-and-multiply chain) *)
       Test.make ~name:"arith.field-sqr.secp256k1"
         (Staged.stage (fun () -> Modular.sqr fp_secp fx));
-      Test.make ~name:"arith.field-sqr.p256"
-        (Staged.stage (fun () -> Modular.sqr fp_p256 px));
       Test.make ~name:"arith.field-inv.secp256k1"
         (Staged.stage (fun () -> Modular.inv fp_secp fx));
-      Test.make ~name:"arith.field-inv.p256"
-        (Staged.stage (fun () -> Modular.inv fp_p256 px));
       (* arithmetic stack: scalar multiplication variants *)
       Test.make ~name:"arith.point-mul.fixed-window"
         (Staged.stage (fun () -> Curve.mul curve scalar point));

@@ -8,12 +8,12 @@
      (EA msk derivations, VSS dealing, ...);
    - any record field annotated [(* lint: secret *)] in a [.mli]
      (trustee share fields of [Ea.setup]'s output, share payloads);
-   - the R5 name heuristic, kept as a fallback: identifiers and fields
-     named [sk]/[witness]/[nonce]/[msk]/[seed]/[secret] (or suffixed).
+   - a name heuristic as a fallback: identifiers and fields named
+     [sk]/[witness]/[nonce]/[msk]/[seed]/[secret] (or suffixed).
 
    Sinks:
-   - the variable-time group surface ([Rules.vartime_callees] — R5's
-     sink set, now reached by value flow instead of by name);
+   - the variable-time group surface ([Rules.vartime_callees]), reached
+     by value flow rather than by name;
    - wire encoders ([Dd_codec.Wire.put_*]);
    - polymorphic / early-exit comparison ([=], [compare],
      [String.equal], ... — R1's operator set, taint-directed);
@@ -23,8 +23,8 @@
    [.mli] states that its *result* is public even when its inputs are
    secret — one-way functions ([Sha256.digest], [Hmac.mac]),
    ciphertext ([Aes128]), and computing in the exponent
-   ([Curve.mul]: a public key or Pedersen commitment does not reveal
-   its scalar under DL). Their results carry no taint; their bodies
+   ([Curve.mul]: a public key or commitment does not reveal its
+   scalar under DL). Their results carry no taint; their bodies
    are still analyzed.
 
    Propagation is {!Dataflow} (let/pattern/aggregate flow) plus

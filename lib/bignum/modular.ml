@@ -4,21 +4,13 @@
      so reduction is two fold-and-add passes: x = hi*2^256 + lo means
      x = hi*(2^32 + 977) + lo (mod p). No division, no big products.
 
-   - NIST P-256's prime is a generalized-Mersenne word-sliding prime
-     (p = 2^256 - 2^224 + 2^192 + 2^96 - 1): each 32-bit word of the
-     512-bit product above position 8 reduces to a small signed
-     combination of lower words (FIPS 186-4 D.2.3), so reduction is one
-     signed accumulation pass over 16 words plus a small correction.
-
-   - Any other odd modulus (notably both curve orders) gets a Montgomery
+   - Any other odd modulus (notably the curve order) gets a Montgomery
      domain: residues are multiplied as x*y*R^-1 mod m (R = 2^(31*hk))
      with the quotient digit m' = -m^-1 mod 2^31 absorbed limb by limb —
      no division and no Barrett product. The standard mul/sqr API stays
      in the standard domain (enter/exit per call, still ~3x cheaper than
      Barrett); [pow] and Fermat [inv] enter the domain once and run the
-     whole square-and-multiply chain inside it. The explicit domain API
-     ([to_mont]/[of_mont]/[mul_mont]/[sqr_mont]) exposes the raw form
-     for callers that want to batch conversions.
+     whole square-and-multiply chain inside it.
 
    - Everything else (even moduli, oversized moduli, and every modulus
      under [~fast:false]) uses Barrett: the slow Nat.divmod runs once to
@@ -27,9 +19,9 @@
 
    All multiplicative kernels run over 31-bit half-limbs of Nat's 62-bit
    limbs (a 62x62 partial product does not fit a 63-bit native int; a
-   31x31 product plus accumulator exactly does). The two 256-bit curve
-   fields and both curve orders are 9 half-limbs wide, so they share the
-   unrolled [mul9]/[sqr9] kernels below; other widths use generic loops.
+   31x31 product plus accumulator exactly does). The 256-bit curve field
+   and order are 9 half-limbs wide, so they share the unrolled
+   [mul9]/[sqr9] kernels below; other widths use generic loops.
 
    The fast paths run on reused scratch buffers, so a field
    multiplication performs one flattened product and a couple of linear
@@ -54,8 +46,6 @@ type scratch = {
   ra : int array;     (* 36 halves: Montgomery accumulator / results *)
   prod : int array;   (* 70 halves: product + REDC headroom (2k + 2) *)
   aux : int array;    (* 12 halves: secp256k1 fold's hi = x >> 256 *)
-  words : int array;  (* P-256: 16 32-bit words of the input *)
-  acc : int array;    (* P-256: 8 signed per-word accumulators *)
   limbs : int array;  (* 20 62-bit limbs: Nat <-> half-limb crossings *)
 }
 
@@ -65,8 +55,6 @@ let make_scratch () = {
   ra = Array.make 36 0;
   prod = Array.make 70 0;
   aux = Array.make 12 0;
-  words = Array.make 16 0;
-  acc = Array.make 8 0;
   limbs = Array.make 20 0;
 }
 
@@ -78,7 +66,6 @@ let scratch_key = Domain.DLS.new_key make_scratch
 type strategy =
   | Barrett
   | Secp256k1
-  | P256
   | Montgomery
 
 (* Montgomery constants for an odd modulus m < R = 2^(31 * hk):
@@ -96,35 +83,24 @@ type ctx = {
   kl : int;                 (* 62-bit limbs in the modulus *)
   hk : int;                 (* 31-bit halves in the modulus *)
   strategy : strategy;
-  prime : bool;             (* enables Fermat inversion *)
   mu : Nat.t;               (* Barrett constant floor(B^2kl / m) *)
   mh : int array;           (* modulus as halves (fast paths) *)
   mont : mont option;       (* Montgomery domain (odd modulus, fast) *)
-  u_mults : int array array; (* P-256: e * (2^256 mod p), 0 <= e <= 8,
-                                as 9 zero-padded halves each *)
 }
 
 let secp256k1_p =
   Nat.of_hex "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"
 
-let nist_p256_p =
-  Nat.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff"
-
-(* 2^256 mod p256 = 2^224 - 2^192 - 2^96 + 1 *)
-let nist_p256_u =
-  Nat.sub (Nat.shift_left Nat.one 256) nist_p256_p
-
 (* Largest modulus the Montgomery scratch is sized for (33 halves). *)
 let mont_max_halves = 33
 
-let create ?(prime = true) ?(fast = true) modulus =
+let create ?(fast = true) modulus =
   if Nat.compare modulus Nat.two < 0 then invalid_arg "Modular.create: modulus < 2";
   let bits = Nat.bit_length modulus in
   let kl = (bits + Nat.base_bits - 1) / Nat.base_bits in
   let hk = (bits + hbits - 1) / hbits in
   let strategy =
     if fast && Nat.equal modulus secp256k1_p then Secp256k1
-    else if fast && Nat.equal modulus nist_p256_p then P256
     else if fast && Nat.is_odd modulus && hk <= mont_max_halves then Montgomery
     else Barrett
   in
@@ -167,23 +143,7 @@ let create ?(prime = true) ?(fast = true) modulus =
     end
     else None
   in
-  let u_mults =
-    match strategy with
-    | P256 ->
-      Array.init 9 (fun e ->
-          (* u * e < 2^227: 8 significant halves, padded to 9 *)
-          let v = Nat.mul nist_p256_u (Nat.of_int e) in
-          let h = Array.make 9 0 in
-          let vl = Array.make 5 0 in
-          let nl = Nat.to_limbs_into v vl in
-          for i = 0 to nl - 1 do
-            h.(2 * i) <- vl.(i) land hmask;
-            if (2 * i) + 1 < 9 then h.((2 * i) + 1) <- vl.(i) lsr hbits
-          done;
-          h)
-    | _ -> [||]
-  in
-  { modulus; kl; hk; strategy; prime; mu; mh; mont; u_mults }
+  { modulus; kl; hk; strategy; mu; mh; mont }
 
 let modulus ctx = ctx.modulus
 
@@ -191,7 +151,6 @@ let reduction_name ctx =
   match ctx.strategy with
   | Barrett -> "barrett"
   | Secp256k1 -> "pseudo-mersenne-secp256k1"
-  | P256 -> "word-sliding-p256"
   | Montgomery -> "montgomery"
 
 (* --- Nat <-> half-limb crossings --------------------------------------- *)
@@ -743,95 +702,6 @@ let reduce_secp256k1 ctx st n =
     pack_halves st buf ~off:0 9
   end
 
-(* --- NIST P-256 word-sliding ------------------------------------------- *)
-
-(* 32-bit word j of (buf, n): bits [32j, 32j + 32). Since
-   32j = 31j + j, word j starts in half j at bit offset j (for the
-   j <= 15 this reduction uses), spanning at most two halves
-   (j + 32 <= 62) — no division needed to locate it. *)
-let word32 (buf : int array) n j =
-  let v = if j < n then Array.unsafe_get buf j lsr j else 0 in
-  let v =
-    if j + 1 < n then v lor (Array.unsafe_get buf (j + 1) lsl (hbits - j))
-    else v
-  in
-  v land 0xffffffff
-
-(* FIPS 186-4 D.2.3: with the 512-bit input split into 32-bit words
-   c0..c15, the reduction is s1 + 2*s2 + 2*s3 + s4 + s5 - s6 - s7 - s8
-   - s9, expanded below into one signed sum per output word. The final
-   signed carry e is folded back via 2^256 = u (mod p). The whole tail
-   stays in half-limbs: words repack into halves with one fused pass
-   (word j lands in halves j, j+1 at offset j, as in [word32]), and the
-   e-fold adds or subtracts the precomputed u*|e| half vector in place —
-   no Nat allocation until the final pack. *)
-let reduce_p256 ctx st n =
-  let c = st.words and d = st.acc in
-  for j = 0 to 15 do c.(j) <- word32 st.prod n j done;
-  d.(0) <- c.(0) + c.(8) + c.(9) - c.(11) - c.(12) - c.(13) - c.(14);
-  d.(1) <- c.(1) + c.(9) + c.(10) - c.(12) - c.(13) - c.(14) - c.(15);
-  d.(2) <- c.(2) + c.(10) + c.(11) - c.(13) - c.(14) - c.(15);
-  d.(3) <- c.(3) + (2 * c.(11)) + (2 * c.(12)) + c.(13) - c.(15) - c.(8) - c.(9);
-  d.(4) <- c.(4) + (2 * c.(12)) + (2 * c.(13)) + c.(14) - c.(9) - c.(10);
-  d.(5) <- c.(5) + (2 * c.(13)) + (2 * c.(14)) + c.(15) - c.(10) - c.(11);
-  d.(6) <- c.(6) + c.(13) + (3 * c.(14)) + (2 * c.(15)) - c.(8) - c.(9);
-  d.(7) <- c.(7) + c.(8) + (3 * c.(15)) - c.(10) - c.(11) - c.(12) - c.(13);
-  let carry = ref 0 in
-  for i = 0 to 7 do
-    let t = d.(i) + !carry in
-    let w = t land 0xffffffff in
-    d.(i) <- w;
-    carry := (t - w) asr 32
-  done;
-  let e = !carry in     (* |e| <= 8: each d.(i) sums at most 7 words *)
-  let h = st.ra in
-  Array.fill h 0 10 0;
-  for j = 0 to 7 do
-    let v = Array.unsafe_get d j in
-    Array.unsafe_set h j (Array.unsafe_get h j + ((v lsl j) land hmask));
-    Array.unsafe_set h (j + 1) (Array.unsafe_get h (j + 1) + (v lsr (hbits - j)))
-  done;
-  let cc = ref 0 in
-  for i = 0 to 8 do
-    let t = Array.unsafe_get h i + !cc in
-    Array.unsafe_set h i (t land hmask);
-    cc := t lsr hbits
-  done;
-  if e > 0 then begin
-    (* v + u*e < 2^256 + 2^227: still fits nine halves *)
-    let u = ctx.u_mults.(e) in
-    let cc = ref 0 in
-    for i = 0 to 8 do
-      let t = Array.unsafe_get h i + Array.unsafe_get u i + !cc in
-      Array.unsafe_set h i (t land hmask);
-      cc := t lsr hbits
-    done
-  end
-  else if e < 0 then begin
-    let u = ctx.u_mults.(-e) in
-    let br = ref 0 in
-    for i = 0 to 8 do
-      let t = Array.unsafe_get h i - Array.unsafe_get u i - !br in
-      Array.unsafe_set h i (t land hmask);
-      br := (t lsr hbits) land 1
-    done;
-    if !br <> 0 then begin
-      (* v - u*e went negative; |v - u*e| < 2^227 < p, so adding p
-         back once lands in (0, p) — the final carry out cancels the
-         borrow and is dropped *)
-      let cc = ref 0 in
-      for i = 0 to 8 do
-        let t = Array.unsafe_get h i + Array.unsafe_get ctx.mh i + !cc in
-        Array.unsafe_set h i (t land hmask);
-        cc := t lsr hbits
-      done
-    end
-  end;
-  while Nat.compare_limbs h 9 ctx.mh ctx.hk >= 0 do
-    ignore (half_sub_into h 9 ctx.mh ctx.hk)
-  done;
-  pack_halves st h ~off:0 9
-
 (* --- Montgomery engine ------------------------------------------------- *)
 
 (* In-place Montgomery reduction of the 2k-half product in [p]: for each
@@ -933,14 +803,11 @@ let reduce ctx x =
   else begin
     match ctx.strategy with
     | Barrett | Montgomery -> reduce_barrett ctx x
-    | Secp256k1 | P256 ->
+    | Secp256k1 ->
       if Nat.bit_length x > 512 then Nat.rem x ctx.modulus
       else begin
         let st = Domain.DLS.get scratch_key in
-        let n = unpack_halves st x st.prod ~pad:0 in
-        match ctx.strategy with
-        | Secp256k1 -> reduce_secp256k1 ctx st n
-        | _ -> reduce_p256 ctx st n
+        reduce_secp256k1 ctx st (unpack_halves st x st.prod ~pad:0)
       end
   end
 
@@ -974,7 +841,7 @@ let mul_via_mont ctx mo st ~square a b =
 let mul ctx a b =
   match ctx.strategy with
   | Barrett -> reduce_barrett ctx (Nat.mul a b)
-  | Secp256k1 | P256 ->
+  | Secp256k1 ->
     if Nat.compare a ctx.modulus >= 0 || Nat.compare b ctx.modulus >= 0 then
       (* out-of-contract inputs: reduce first, stay correct *)
       Nat.rem (Nat.mul a b) ctx.modulus
@@ -984,8 +851,7 @@ let mul ctx a b =
       let _ = unpack_halves st b st.xb ~pad:9 in
       mul9 st.prod st.xa st.xb;
       (* mul9 writes all 18 halves; no need to trim before folding *)
-      if ctx.strategy == Secp256k1 then reduce_secp256k1 ctx st 18
-      else reduce_p256 ctx st 18
+      reduce_secp256k1 ctx st 18
     end
   | Montgomery ->
     let mo = match ctx.mont with Some m -> m | None -> assert false in
@@ -1000,14 +866,13 @@ let mul ctx a b =
 let sqr ctx a =
   match ctx.strategy with
   | Barrett -> reduce_barrett ctx (Nat.mul a a)
-  | Secp256k1 | P256 ->
+  | Secp256k1 ->
     if Nat.compare a ctx.modulus >= 0 then Nat.rem (Nat.mul a a) ctx.modulus
     else begin
       let st = Domain.DLS.get scratch_key in
       let _ = unpack_halves st a st.xa ~pad:9 in
       sqr9 st.prod st.xa;
-      if ctx.strategy == Secp256k1 then reduce_secp256k1 ctx st 18
-      else reduce_p256 ctx st 18
+      reduce_secp256k1 ctx st 18
     end
   | Montgomery ->
     let mo = match ctx.mont with Some m -> m | None -> assert false in
@@ -1047,82 +912,13 @@ let pow ctx b e =
     done;
     !r
 
+(* Fermat: a^(m-2) = a^-1 for a prime modulus. *)
 let inv ctx a =
   let a = reduce ctx a in
   if Nat.is_zero a then raise Division_by_zero;
-  if ctx.prime then pow ctx a (Nat.sub ctx.modulus Nat.two)
-  else begin
-    (* extended Euclid with signed coefficients tracked as (sign, nat) *)
-    let rec go r0 r1 (s0_neg, s0) (s1_neg, s1) =
-      if Nat.is_zero r1 then begin
-        if not (Nat.equal r0 Nat.one) then raise Division_by_zero;
-        if s0_neg then Nat.sub ctx.modulus (Nat.rem s0 ctx.modulus)
-        else Nat.rem s0 ctx.modulus
-      end else begin
-        let q, r2 = Nat.divmod r0 r1 in
-        (* s2 = s0 - q*s1 *)
-        let qs1 = Nat.mul q s1 in
-        let s2 =
-          if s0_neg = s1_neg then begin
-            if Nat.compare s0 qs1 >= 0 then (s0_neg, Nat.sub s0 qs1)
-            else (not s0_neg, Nat.sub qs1 s0)
-          end else (s0_neg, Nat.add s0 qs1)
-        in
-        go r1 r2 (s1_neg, s1) s2
-      end
-    in
-    go ctx.modulus a (false, Nat.zero) (false, Nat.one)
-  end
-
-let of_nat = reduce
+  pow ctx a (Nat.sub ctx.modulus Nat.two)
 
 let of_int ctx n = reduce ctx (Nat.of_int n)
 
 (* Map a byte string to a residue (used for hash-to-scalar). *)
 let of_bytes_be ctx s = reduce ctx (Nat.of_bytes_be s)
-
-(* --- explicit Montgomery-domain API ------------------------------------ *)
-
-let has_montgomery ctx = ctx.mont <> None
-
-let get_mont ctx op =
-  match ctx.mont with
-  | Some mo -> mo
-  | None ->
-    invalid_arg
-      (Printf.sprintf
-         "Modular.%s: no Montgomery domain (modulus even, too large, or \
-          ~fast:false)" op)
-
-let to_mont ctx a =
-  let mo = get_mont ctx "to_mont" in
-  let a = reduce ctx a in
-  let st = Domain.DLS.get scratch_key in
-  let _ = unpack_halves st a st.xa ~pad:ctx.hk in
-  let n = mont_mul ctx mo st st.xa mo.rr_h st.ra in
-  pack_halves st st.ra ~off:0 n
-
-let of_mont ctx a =
-  let mo = get_mont ctx "of_mont" in
-  let a = reduce ctx a in
-  let st = Domain.DLS.get scratch_key in
-  let _ = unpack_halves st a st.xa ~pad:ctx.hk in
-  let n = mont_exit ctx mo st st.xa st.ra in
-  pack_halves st st.ra ~off:0 n
-
-let mul_mont ctx a b =
-  let mo = get_mont ctx "mul_mont" in
-  let a = reduce ctx a and b = reduce ctx b in
-  let st = Domain.DLS.get scratch_key in
-  let _ = unpack_halves st a st.xa ~pad:ctx.hk in
-  let _ = unpack_halves st b st.xb ~pad:ctx.hk in
-  let n = mont_mul ctx mo st st.xa st.xb st.ra in
-  pack_halves st st.ra ~off:0 n
-
-let sqr_mont ctx a =
-  let mo = get_mont ctx "sqr_mont" in
-  let a = reduce ctx a in
-  let st = Domain.DLS.get scratch_key in
-  let _ = unpack_halves st a st.xa ~pad:ctx.hk in
-  let n = mont_sqr ctx mo st st.xa st.ra in
-  pack_halves st st.ra ~off:0 n

@@ -1,18 +1,18 @@
 (** Modular arithmetic over a fixed modulus, with a reduction strategy
     selected at [create] time.
 
-    The two curve field primes the system uses get specialized
-    reductions — pseudo-Mersenne folding for secp256k1's
-    [p = 2^256 - 2^32 - 977] and the FIPS 186-4 word-sliding reduction
-    for NIST P-256 — running over reused scratch buffers (no per-op
-    allocation in the inner loop). Any other odd modulus (notably both
-    curve orders) gets a Montgomery domain: products are reduced by
-    absorbing one quotient digit per 31-bit half-limb instead of by
-    Barrett's double multiplication, and [pow]/[inv] run their whole
-    square-and-multiply chain inside the domain. Even or oversized
+    secp256k1's field prime [p = 2^256 - 2^32 - 977] gets a
+    pseudo-Mersenne folding reduction running over reused scratch
+    buffers (no per-op allocation in the inner loop). Any other odd
+    modulus (notably the curve order) gets a Montgomery domain:
+    products are reduced by absorbing one quotient digit per 31-bit
+    half-limb instead of by Barrett's double multiplication, and
+    [pow]/[inv] run their whole square-and-multiply chain inside the
+    domain (the field prime's [pow]/[inv] too). Even or oversized
     moduli — and every modulus under [~fast:false] — fall back to
-    Barrett reduction. A [ctx] captures the modulus plus the precomputed
-    constants; create it once and reuse it for every operation.
+    Barrett reduction, the differential tests' reference. A [ctx]
+    captures the modulus plus the precomputed constants; create it once
+    and reuse it for every operation.
 
     The fast paths' scratch buffers are domain-local ([Domain.DLS]),
     so a [ctx] is immutable shared data: any number of domains may use
@@ -20,24 +20,21 @@
     scratch per call.
 
     All binary operations expect reduced residues (in [0, modulus));
-    [reduce] and [of_nat] bring arbitrary naturals into range. *)
+    [reduce] brings arbitrary naturals into range. *)
 
 type ctx
 
-(** [create ?prime ?fast m] builds a context for modulus [m >= 2]. When
-    [prime] is [true] (the default), [inv] uses Fermat's little theorem;
-    pass [~prime:false] for composite moduli to use extended Euclid
-    instead. When [fast] is [true] (the default) the specialized
-    reduction is selected for recognized primes and a Montgomery domain
-    for other odd moduli; [~fast:false] forces Barrett everywhere — the
-    reference the differential tests compare against. *)
-val create : ?prime:bool -> ?fast:bool -> Nat.t -> ctx
+(** [create ?fast m] builds a context for modulus [m >= 2]. When
+    [fast] is [true] (the default) the secp256k1 field prime gets its
+    folding reduction and other odd moduli a Montgomery domain;
+    [~fast:false] forces Barrett everywhere — the reference the
+    differential tests compare against. *)
+val create : ?fast:bool -> Nat.t -> ctx
 
 val modulus : ctx -> Nat.t
 
 (** Which reduction strategy [create] selected: ["barrett"],
-    ["pseudo-mersenne-secp256k1"], ["word-sliding-p256"], or
-    ["montgomery"]. *)
+    ["pseudo-mersenne-secp256k1"], or ["montgomery"]. *)
 val reduction_name : ctx -> string
 
 (** Reduce an arbitrary natural modulo the modulus. Fast for any
@@ -60,55 +57,12 @@ val double : ctx -> Nat.t -> Nat.t
     and exits once. *)
 val pow : ctx -> Nat.t -> Nat.t -> Nat.t
 
-(** Multiplicative inverse — Montgomery-backed Fermat for primes with a
-    domain, extended Euclid otherwise. Raises [Division_by_zero] on
-    zero or non-invertible arguments. *)
+(** Multiplicative inverse by Fermat's little theorem ([a^(m-2)]), so
+    the modulus must be prime — both curve moduli are. Montgomery-backed
+    when the context has a domain. Raises [Division_by_zero] on zero. *)
 val inv : ctx -> Nat.t -> Nat.t
 
-val of_nat : ctx -> Nat.t -> Nat.t
 val of_int : ctx -> int -> Nat.t
 
 (** Interpret a big-endian byte string as a residue. *)
 val of_bytes_be : ctx -> string -> Nat.t
-
-(** {2 Explicit Montgomery domain}
-
-    Available when the modulus is odd, at most 1023 bits, and the
-    context was created with [~fast:true] (the default) — this includes
-    both curve fields and both curve orders. The domain image of a
-    residue [x] is [x * R mod m] with [R = 2^(31 * ceil(bits / 31))];
-    [mul_mont]/[sqr_mont] keep operands in that form so chained
-    operations pay one REDC each instead of a full enter/exit pair.
-    The standard [mul]/[sqr]/[pow] above already use the domain
-    internally; this API is for callers that batch conversions.
-
-    The functions below raise [Invalid_argument] when the context has
-    no Montgomery domain ([has_montgomery ctx = false]).
-
-    The domain form of a residue is just a re-encoding (multiplication
-    by a public constant), so a secret residue's domain image is
-    equally secret: the entry points are annotated as taint sources so
-    R7 tracks any flow of domain values into comparison, wire, or
-    vartime sinks conservatively. *)
-
-(* lint: public — a capability flag: reveals only the modulus shape *)
-val has_montgomery : ctx -> bool
-
-(** [to_mont ctx x] is [x * R mod m] (domain entry). *)
-(* lint: secret *)
-val to_mont : ctx -> Nat.t -> Nat.t
-
-(** [of_mont ctx x] is [x * R^-1 mod m] (domain exit);
-    [of_mont (to_mont x) = reduce x]. *)
-(* lint: secret *)
-val of_mont : ctx -> Nat.t -> Nat.t
-
-(** [mul_mont ctx x y] is [x * y * R^-1 mod m]: the product of two
-    domain images, still in the domain. *)
-(* lint: secret *)
-val mul_mont : ctx -> Nat.t -> Nat.t -> Nat.t
-
-(** [sqr_mont ctx x] is [x^2 * R^-1 mod m] through the dedicated
-    squaring kernel. *)
-(* lint: secret *)
-val sqr_mont : ctx -> Nat.t -> Nat.t

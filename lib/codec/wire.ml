@@ -55,6 +55,9 @@ let get_varint r =
     let b = Char.code r.data.[r.pos] in
     r.pos <- r.pos + 1;
     let acc = acc lor ((b land 0x7f) lsl shift) in
+    (* the ninth byte's bit 6 lands on the sign bit: no encoder of a
+       non-negative int writes it *)
+    if acc < 0 then raise (Malformed "varint: overflows int");
     if b land 0x80 = 0 then acc else go (shift + 7) acc
   in
   go 0 0

@@ -31,7 +31,6 @@ val on_deliver : t -> from:int -> string -> unit
 
 val decided : t -> bool option array
 val all_decided : t -> bool
-val current_round : t -> int
 
 (** True once the node has decided everything and run the two grace
     rounds that let laggards catch up. *)

@@ -39,14 +39,6 @@ type behavior =
   | Byzantine_consensus
   | Malformed_wire
 
-let behavior_label = function
-  | Silent -> "silent"
-  | Drop_receipts -> "drop-receipts"
-  | Equivocate -> "equivocate"
-  | Corrupt_shares -> "corrupt-shares"
-  | Byzantine_consensus -> "byzantine-consensus"
-  | Malformed_wire -> "malformed-wire"
-
 (* Does the behavior answer voters at all? *)
 let suppresses_replies = function
   | Silent | Drop_receipts -> true

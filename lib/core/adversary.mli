@@ -27,8 +27,6 @@ type behavior =
           flipped: undecodable frames model malformed input, decodable
           ones well-formed-but-wrong content *)
 
-val behavior_label : behavior -> string
-
 (** [Silent] and [Drop_receipts] never answer voters. *)
 val suppresses_replies : behavior -> bool
 

@@ -479,8 +479,3 @@ let audit ?(voter_audits = []) ?batch ?pool v =
     voter_audits
 
 let all_ok checks = List.for_all (fun c -> c.ok) checks
-
-let pp_checks fmt checks =
-  List.iter
-    (fun c -> Format.fprintf fmt "  [%s] %s — %s@." (if c.ok then "PASS" else "FAIL") c.name c.detail)
-    checks

@@ -67,7 +67,6 @@ val audit :
   ?pool:Dd_parallel.Pool.t -> view -> check list
 
 val all_ok : check list -> bool
-val pp_checks : Format.formatter -> check list -> unit
 
 (** Exposed for targeted testing and benchmarks. On failure, [detail]
     names the first offending (serial, part) on both paths. *)

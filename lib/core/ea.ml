@@ -69,8 +69,6 @@ type setup = {
   trustee_init : trustee_init array;
 }
 
-let ea_vc_index cfg = cfg.Types.nv
-let ea_trustee_index cfg = cfg.Types.nt
 
 let zk_state_body ~election_id ~serial ~part ~trustee (share : Shamir_bytes.share) =
   String.concat "|"

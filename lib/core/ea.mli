@@ -61,9 +61,6 @@ type setup = {
   trustee_init : trustee_init array;
 }
 
-val ea_vc_index : Types.config -> int
-val ea_trustee_index : Types.config -> int
-
 (** The EA-authenticated body binding a trustee's ZK-state share. *)
 val zk_state_body :
   election_id:string -> serial:int -> part:Types.part_id -> trustee:int ->

@@ -1,19 +1,18 @@
-(* Short-Weierstrass elliptic curve group, y^2 = x^3 + a x + b over F_p,
-   with Jacobian-coordinate arithmetic (X/Z^2, Y/Z^3). This is the group
-   underlying the paper's lifted-ElGamal option-encoding commitments,
-   Chaum-Pedersen proofs, and Schnorr signatures (replacing MIRACL). *)
+(* Short-Weierstrass elliptic curve group, y^2 = x^3 + b over F_p (the
+   j-invariant-0 form of secp256k1), with Jacobian-coordinate arithmetic
+   (X/Z^2, Y/Z^3). This is the group underlying the paper's
+   lifted-ElGamal option-encoding commitments, Chaum-Pedersen proofs,
+   and Schnorr signatures (replacing MIRACL). *)
 
 module Nat = Dd_bignum.Nat
 module Modular = Dd_bignum.Modular
 
 type params = {
   p : Nat.t;            (* field prime *)
-  a : Nat.t;
   b : Nat.t;
   gx : Nat.t;
   gy : Nat.t;
   order : Nat.t;        (* prime order n of the generator *)
-  name : string;
 }
 
 (* GLV endomorphism data for j-invariant-0 curves (secp256k1): with
@@ -34,8 +33,8 @@ type point =
   | Infinity
   | Jacobian of Nat.t * Nat.t * Nat.t  (* X, Y, Z with Z <> 0 *)
 
-(* Wide affine odd-multiple tables for a fixed point (and its phi-image
-   on endo curves), precomputed once and reused across msm calls. The
+(* Wide affine odd-multiple tables for a fixed point and its phi-image,
+   precomputed once and reused across msm calls. The
    in-loop msm tables are width 5 because their build cost is paid per
    call; a precomputed table affords width [precomp_width], cutting the
    point's digit adds by a third and skipping its per-call table build
@@ -47,7 +46,7 @@ type precomp = {
   pre_pt : point;       (* the base point, affine-normalized *)
   ptp : point array;    (* P, 3P, ..., (2^(w-1)-1)P, affine *)
   ptn : point array;    (* negations *)
-  pphi : point array;   (* phi-images (x scaled by beta); [||] if no endo *)
+  pphi : point array;   (* phi-images (x scaled by beta) *)
   pnphi : point array;
 }
 
@@ -57,7 +56,7 @@ type t = {
   fn : Modular.ctx;     (* arithmetic mod order *)
   byte_len : int;       (* field element encoding length *)
   sqrt_e : Nat.t;       (* (p+1)/4, cached for field_sqrt (p = 3 mod 4) *)
-  endo : endo option;   (* GLV split for the msm path, where applicable *)
+  endo : endo;          (* GLV split for the msm path *)
   gen_tables : precomp option Atomic.t;
   (* generator table cache, published once via compare-and-set: a race
      may compute it twice, but every domain observes a single value *)
@@ -66,26 +65,11 @@ type t = {
 (* secp256k1: y^2 = x^3 + 7. *)
 let secp256k1 = {
   p = Nat.of_hex "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f";
-  a = Nat.zero;
   b = Nat.of_int 7;
   gx = Nat.of_hex "79be667ef9dcbbac55a06295ce870b07029bfcdb2dce28d959f2815b16f81798";
   gy = Nat.of_hex "483ada7726a3c4655da4fbfc0e1108a8fd17b448a68554199c47d08ffb10d4b8";
   order = Nat.of_hex "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141";
-  name = "secp256k1";
 }
-
-(* NIST P-256 (a = -3 mod p): exercises the general-a arithmetic. *)
-let nist_p256 =
-  let p = Nat.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff" in
-  {
-    p;
-    a = Nat.sub p (Nat.of_int 3);
-    b = Nat.of_hex "5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b";
-    gx = Nat.of_hex "6b17d1f2e12c4247f8bce6e563a440f277037d812deb33a0f4a13945d898c296";
-    gy = Nat.of_hex "4fe342e2fe1a7f9b8ee7eb4a7c0f9e162bce33576b315ececbb6406837bf51f5";
-    order = Nat.of_hex "ffffffff00000000ffffffffffffffffbce6faada7179e84f3b9cac2fc632551";
-    name = "nist-p256";
-  }
 
 (* [create] lives below [mul_vartime]: validating the endomorphism
    constants needs a scalar multiplication. *)
@@ -149,15 +133,12 @@ let to_affine_batch t pts =
 
 let of_affine _t (x, y) = Jacobian (x, y, Nat.one)
 
-let on_curve t (x, y) =
+(* The curve equation's right-hand side x^3 + b. *)
+let rhs t x =
   let fp = t.fp in
-  let lhs = Modular.sqr fp y in
-  let rhs =
-    Modular.add fp
-      (Modular.add fp (Modular.mul fp (Modular.sqr fp x) x) (Modular.mul fp t.params.a x))
-      t.params.b
-  in
-  Nat.equal lhs rhs
+  Modular.add fp (Modular.mul fp (Modular.sqr fp x) x) t.params.b
+
+let on_curve t (x, y) = Nat.equal (Modular.sqr t.fp y) (rhs t x)
 
 let double t pt =
   match pt with
@@ -166,7 +147,7 @@ let double t pt =
     if Nat.is_zero y1 then Infinity
     else begin
       let fp = t.fp in
-      (* dbl-2007-bl, general a *)
+      (* dbl-2007-bl with a = 0 *)
       let xx = Modular.sqr fp x1 in
       let yy = Modular.sqr fp y1 in
       let yyyy = Modular.sqr fp yy in
@@ -175,16 +156,7 @@ let double t pt =
         let t0 = Modular.sqr fp (Modular.add fp x1 yy) in
         Modular.double fp (Modular.sub fp t0 (Modular.add fp xx yyyy))
       in
-      let m =
-        (* a is a public curve constant, so branching on it leaks
-           nothing; a = 0 (secp256k1) skips a square and a multiply *)
-        if Nat.is_zero t.params.a then
-          Modular.add fp (Modular.double fp xx) xx
-        else
-          Modular.add fp
-            (Modular.add fp (Modular.double fp xx) xx)
-            (Modular.mul fp t.params.a (Modular.sqr fp zz))
-      in
+      let m = Modular.add fp (Modular.double fp xx) xx in
       let x3 = Modular.sub fp (Modular.sqr fp m) (Modular.double fp s) in
       let y3 =
         Modular.sub fp
@@ -339,10 +311,10 @@ let mul_vartime t k pt =
     !acc
   end
 
-(* Candidate GLV constants for secp256k1: lambda, beta and the short
-   lattice basis, as in libsecp256k1. They are verified algebraically
-   by [endo_valid] before use, so a bad constant degrades [msm] to the
-   generic path instead of producing wrong results. *)
+(* GLV constants for secp256k1: lambda, beta and the short lattice
+   basis, as in libsecp256k1. [create] verifies them algebraically with
+   [endo_valid] and refuses a curve they do not fit, so a bad constant
+   fails loudly instead of producing wrong results. *)
 let secp256k1_endo = {
   e_lambda = Nat.of_hex "5363ad4cc05c30e0a5261c028812645a122e22ea20816678df02967c1b23bd72";
   e_beta = Nat.of_hex "7ae96a2b657c07106e64479eac3434e99cf0497512f58995c1396c28719501ee";
@@ -352,16 +324,14 @@ let secp256k1_endo = {
   e_b2 = Nat.of_hex "3086d221a7d46bcde86c90e49284eb15";
 }
 
-(* Accept an endomorphism only if it checks out on this curve: the
-   curve must have a = 0 (j-invariant 0), beta must be a nontrivial
-   cube root of unity mod p (so (x, y) -> (beta*x, y) maps the curve
+(* Accept an endomorphism only if it checks out on this curve: beta
+   must be a nontrivial cube root of unity mod p (so (x, y) -> (beta*x, y) maps the curve
    to itself), (beta*gx, gy) must equal lambda*G (pinning the map to
    multiplication by lambda rather than lambda^2), and the lattice
    basis must satisfy a1 = b1*lambda and a2 = -b2*lambda (mod n). *)
-let endo_valid t e =
-  let fp = t.fp and fn = t.fn in
-  Nat.is_zero t.params.a
-  && not (Nat.equal e.e_beta Nat.one)
+let endo_valid t =
+  let e = t.endo and fp = t.fp and fn = t.fn in
+  not (Nat.equal e.e_beta Nat.one)
   && Nat.equal (Modular.mul fp e.e_beta (Modular.sqr fp e.e_beta)) Nat.one
   && Nat.equal (Modular.mul fn e.e_b1 e.e_lambda) (Modular.reduce fn e.e_a1)
   && Nat.is_zero
@@ -378,12 +348,12 @@ let create ?(fast = true) params =
     fn = Modular.create ~fast params.order;
     byte_len = (Nat.bit_length params.p + 7) / 8;
     sqrt_e = Nat.shift_right (Nat.add params.p Nat.one) 2;
-    endo = None;
+    endo = secp256k1_endo;
     gen_tables = Atomic.make None;
   } in
-  if String.equal params.name "secp256k1" && endo_valid t secp256k1_endo
-  then { t with endo = Some secp256k1_endo }
-  else t
+  if not (endo_valid t) then
+    invalid_arg "Curve.create: the GLV endomorphism does not fit this curve";
+  t
 
 (* Fixed-base multiplication with a per-curve precomputed window table
    for the generator: 4-bit windows over the 256-bit scalar. *)
@@ -488,7 +458,8 @@ let normalize_batch t pts =
    returned as (negate, magnitude). The identity holds for *any* c1,
    c2 once [endo_valid] has checked the basis congruences — the
    rounding only controls how short the halves are, never soundness. *)
-let endo_split t e k =
+let endo_split t k =
+  let e = t.endo in
   (* n is within 2^-127 of 2^bits, so dividing by n rounds the same as
      shifting by bits up to +-2 — which only lengthens the halves by a
      couple of bits, never breaks the k1 + k2*lambda identity. *)
@@ -502,6 +473,13 @@ let endo_split t e k =
   let k1 = signed_sub k (Nat.add (Nat.mul c1 e.e_a1) (Nat.mul c2 e.e_a2)) in
   let k2 = signed_sub (Nat.mul c1 e.e_b1) (Nat.mul c2 e.e_b2) in
   (k1, k2)
+
+(* The endomorphism on a point: (x, y, z) -> (beta*x, y, z). It keeps a
+   normalized (x, y, 1) normalized, so phi-images of mixed-add tables
+   stay valid mixed-add inputs. *)
+let phi t = function
+  | Infinity -> Infinity
+  | Jacobian (x, y, z) -> Jacobian (Modular.mul t.fp t.endo.e_beta x, y, z)
 
 (* Window width for precomputed tables: 2^(8-2) = 64 odd multiples,
    cutting the point's digit density from 1/6 (width 5) to 1/9 for a
@@ -524,16 +502,7 @@ let precompute t p =
     let tbl = Array.make half p in
     for i = 1 to half - 1 do tbl.(i) <- add_mixed t tbl.(i - 1) p2 done;
     let tbl = normalize_batch t tbl in
-    let phi =
-      match t.endo with
-      | None -> [||]
-      | Some e ->
-        Array.map
-          (function
-            | Infinity -> Infinity
-            | Jacobian (x, y, z) -> Jacobian (Modular.mul t.fp e.e_beta x, y, z))
-          tbl
-    in
+    let phi = Array.map (phi t) tbl in
     { pre_pt = p; ptp = tbl; ptn = Array.map (neg t) tbl;
       pphi = phi; pnphi = Array.map (neg t) phi }
 
@@ -556,7 +525,7 @@ let gen_tables t =
    once so every digit add is a mixed add.
 
    Each entry is one digit string walking a (positive, negative) table
-   pair. On a curve with a GLV endomorphism, a full-width scalar splits
+   pair. With the GLV endomorphism, a full-width scalar splits
    into two ~128-bit strings — the second walking a phi-image of the
    first's table (x scaled by beta: one field mul per entry instead of
    rebuilding the odd multiples) — which halves the length of the
@@ -587,13 +556,9 @@ let msm_strauss t (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point) array
   let n = Array.length pairs in
   (* per-pair odd-multiple table size: 4 = single short string (the
      batch verifiers' 128-bit weights), 8 = full width / GLV *)
-  let sizes = Array.make n 8 in
-  (match t.endo with
-   | None -> ()
-   | Some _ ->
-     Array.iteri
-       (fun j (k, _) -> if Nat.bit_length k <= 140 then sizes.(j) <- 4)
-       pairs);
+  let sizes =
+    Array.map (fun (k, _) -> if Nat.bit_length k <= 140 then 4 else 8) pairs
+  in
   let offs = Array.make n 0 in
   let total = ref 0 in
   for j = 0 to n - 1 do
@@ -634,45 +599,26 @@ let msm_strauss t (pre : (Nat.t * precomp) array) (pairs : (Nat.t * point) array
   let pre_entries =
     List.concat_map
       (fun (k, pc) ->
-         match t.endo with
-         | Some e when Array.length pc.pphi > 0 ->
-           let m1, m2 = endo_split t e k in
-           glv precomp_width m1 m2 pc.ptp pc.ptn pc.pphi pc.pnphi
-         | _ -> [ (Array.of_list (wnaf precomp_width k), pc.ptp, pc.ptn, 0) ])
+         let m1, m2 = endo_split t k in
+         glv precomp_width m1 m2 pc.ptp pc.ptn pc.pphi pc.pnphi)
       (Array.to_list pre)
   in
   let pair_entries =
-    match t.endo with
-    | None ->
-      List.mapi
-        (fun j (k, _) -> (Array.of_list (wnaf 5 k), flat, nflat, offs.(j)))
-        (Array.to_list pairs)
-    | Some e ->
-      (* phi maps a normalized (x, y, 1) to (beta*x, y, 1), so the
-         phi-slice entries stay valid mixed-add inputs; the slice is
-         eight field multiplications, not eight point additions *)
-      let phi_slice off =
-        let f =
-          Array.init 8 (fun i ->
-              match flat.(off + i) with
-              | Infinity -> Infinity
-              | Jacobian (x, y, z) -> Jacobian (Modular.mul t.fp e.e_beta x, y, z))
-        in
-        (f, Array.map (neg t) f)
-      in
-      List.concat
-        (List.mapi
-           (fun j (k, _) ->
-              if sizes.(j) = 4 then
-                [ (Array.of_list (wnaf 4 k), flat, nflat, offs.(j)) ]
-              else begin
-                let m1, m2 = endo_split t e k in
-                let off = offs.(j) in
-                let sl p = Array.sub p off 8 in
-                let phi, nphi = phi_slice off in
-                glv 5 m1 m2 (sl flat) (sl nflat) phi nphi
-              end)
-           (Array.to_list pairs))
+    List.concat
+      (List.mapi
+         (fun j (k, _) ->
+            if sizes.(j) = 4 then
+              [ (Array.of_list (wnaf 4 k), flat, nflat, offs.(j)) ]
+            else begin
+              let m1, m2 = endo_split t k in
+              let off = offs.(j) in
+              let sl p = Array.sub p off 8 in
+              (* the phi-slice is eight field multiplications, not eight
+                 point additions *)
+              let phi_tbl = Array.init 8 (fun i -> phi t flat.(off + i)) in
+              glv 5 m1 m2 (sl flat) (sl nflat) phi_tbl (Array.map (neg t) phi_tbl)
+            end)
+         (Array.to_list pairs))
   in
   let entries = Array.of_list (pre_entries @ pair_entries) in
   let maxlen =
@@ -832,7 +778,7 @@ let decode t s =
   end
   else None
 
-(* Square root mod p for p = 3 mod 4 (both supported curves):
+(* Square root mod p for p = 3 mod 4 (true of secp256k1):
    sqrt(a) = a^((p+1)/4) when a is a quadratic residue. The exponent is
    cached in [t] — recomputing it per probe used to cost a 256-bit
    add+shift on every decode_compressed and hash_to_point attempt. *)
@@ -855,17 +801,11 @@ let decode_compressed t s =
     let x = Nat.of_bytes_be (String.sub s 1 t.byte_len) in
     if Nat.compare x t.params.p >= 0 then None
     else begin
-      let fp = t.fp in
-      let rhs =
-        Modular.add fp
-          (Modular.add fp (Modular.mul fp (Modular.sqr fp x) x) (Modular.mul fp t.params.a x))
-          t.params.b
-      in
-      match field_sqrt t rhs with
+      match field_sqrt t (rhs t x) with
       | None -> None
       | Some y ->
         let want_odd = s.[0] = '\x03' in
-        let y = if Nat.is_odd y = want_odd then y else Modular.neg fp y in
+        let y = if Nat.is_odd y = want_odd then y else Modular.neg t.fp y in
         Some (of_affine t (x, y))
     end
   end
@@ -873,19 +813,13 @@ let decode_compressed t s =
 
 (* Hash-to-point by try-and-increment on SHA-256 outputs: used to derive
    a second generator H with unknown discrete log w.r.t. G (needed by
-   Pedersen commitments and the lifted-ElGamal commitment key). *)
+   the lifted-ElGamal commitment key). *)
 let hash_to_point t label =
-  let fp = t.fp in
   let rec try_counter i =
     if i > 1000 then failwith "Curve.hash_to_point: no point found";
     let h = Dd_crypto.Sha256.digest_list [ label; string_of_int i ] in
-    let x = Modular.of_bytes_be fp h in
-    let rhs =
-      Modular.add fp
-        (Modular.add fp (Modular.mul fp (Modular.sqr fp x) x) (Modular.mul fp t.params.a x))
-        t.params.b
-    in
-    match field_sqrt t rhs with
+    let x = Modular.of_bytes_be t.fp h in
+    match field_sqrt t (rhs t x) with
     | Some y -> of_affine t (x, y)
     | None -> try_counter (i + 1)
   in

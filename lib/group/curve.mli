@@ -1,9 +1,10 @@
-(** Short-Weierstrass elliptic-curve group over a prime field, with
-    Jacobian-coordinate arithmetic.
+(** The secp256k1 elliptic-curve group ([y^2 = x^3 + 7] over a prime
+    field), with Jacobian-coordinate arithmetic and the curve's GLV
+    endomorphism behind the multi-scalar multiplications.
 
     This is the algebraic substrate for the paper's lifted-ElGamal
     option-encoding commitments, Chaum-Pedersen zero-knowledge proofs,
-    Pedersen VSS, and Schnorr signatures.
+    the trustees' opening VSS, and Schnorr signatures.
 
     {2 Timing contract}
 
@@ -30,14 +31,13 @@
 module Nat = Dd_bignum.Nat
 module Modular = Dd_bignum.Modular
 
+(** Parameters of a curve [y^2 = x^3 + b] (the [a = 0] form). *)
 type params = {
   p : Nat.t;
-  a : Nat.t;
   b : Nat.t;
   gx : Nat.t;
   gy : Nat.t;
   order : Nat.t;
-  name : string;
 }
 
 type t
@@ -49,17 +49,16 @@ type point
 (** The standard secp256k1 parameter set. *)
 val secp256k1 : params
 
-(** NIST P-256 (a = -3): a second supported parameter set. *)
-val nist_p256 : params
-
 (** [create ?fast params] builds the group context, precomputing the
     field contexts and the cached [(p+1)/4] square-root exponent.
     [~fast:false] forces Barrett reduction in both fields (reference
-    path for differential tests). *)
+    path for differential tests). Raises [Invalid_argument] unless
+    secp256k1's GLV endomorphism checks out on [params] — it does only
+    on secp256k1. *)
 val create : ?fast:bool -> params -> t
 
-(** Modular context for the base field F_p (specialized reduction when
-    the prime is recognized, Barrett otherwise — see {!Modular}). *)
+(** Modular context for the base field F_p (secp256k1's folding
+    reduction — see {!Modular}). *)
 val field : t -> Modular.ctx
 
 (** Modular context for Z_n, n the group order. *)
@@ -128,8 +127,8 @@ val mul2 : t -> base_table -> Nat.t -> Nat.t -> point -> point
     verifiers. {b Variable time}: public scalars and points only. *)
 val msm : ?window:int -> t -> (Nat.t * point) array -> point
 
-(** Wide precomputed odd-multiple tables (width 8, and the GLV
-    phi-image on curves with an endomorphism) for a point that recurs
+(** Wide precomputed odd-multiple tables (width 8, and their GLV
+    phi-images) for a point that recurs
     across many msm calls — the generator gets one automatically, and
     long-lived verification keys are worth one: a batch verifier checks
     every certificate against the same signer set, so the table build
@@ -159,8 +158,8 @@ val equal : t -> point -> point -> bool
 val encode : t -> point -> string
 val decode : t -> string -> point option
 
-(** Square root in F_p (requires p = 3 mod 4, true of both supported
-    curves); [None] for non-residues. *)
+(** Square root in F_p (requires p = 3 mod 4, true of secp256k1);
+    [None] for non-residues. *)
 val field_sqrt : t -> Nat.t -> Nat.t option
 
 (** Compressed encoding: [0x02/0x03 || X] (33 bytes on 256-bit curves),

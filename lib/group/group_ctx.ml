@@ -14,8 +14,8 @@ type t = {
   h_table : Curve.base_table;
 }
 
-let create ?(fast = true) ?(params = Curve.secp256k1) () =
-  let curve = Curve.create ~fast params in
+let create ?(fast = true) () =
+  let curve = Curve.create ~fast Curve.secp256k1 in
   let g = Curve.generator curve in
   let h = Curve.hash_to_point curve "d-demos second generator H" in
   {
@@ -58,10 +58,6 @@ let mul_vartime t k pt =
 
 (* u*G + v*P in one Strauss-Shamir pass: the verifier's kernel. *)
 let mul2_g t u v pt = Curve.mul2 t.curve t.g_table u v pt
-
-(* Multi-scalar multiplication over the shared curve (vartime, public
-   data only — see the timing contract in curve.mli). *)
-let msm t pairs = Curve.msm t.curve pairs
 
 (* --- MSM accumulator for the randomized batch verifiers -------------- *)
 (* Batch verifiers fold many equations sum_j k_j * P_j = O into one

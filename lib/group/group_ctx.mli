@@ -7,9 +7,9 @@ module Modular = Dd_bignum.Modular
 
 type t
 
-(** [create ?fast ?params ()] builds the context. [~fast:false] forces
-    Barrett reduction throughout (reference/baseline path). *)
-val create : ?fast:bool -> ?params:Curve.params -> unit -> t
+(** [create ?fast ()] builds the context over secp256k1. [~fast:false]
+    forces Barrett reduction throughout (reference/baseline path). *)
+val create : ?fast:bool -> unit -> t
 
 (** One process-wide context over secp256k1, built on first call (table
     construction costs a few hundred milliseconds; share it). Safe to
@@ -40,10 +40,6 @@ val mul_vartime : t -> Nat.t -> Curve.point -> Curve.point
 (** [mul2_g t u v p] is [u*G + v*p] by Strauss-Shamir off the G table.
     {b Variable time} — verification only. *)
 val mul2_g : t -> Nat.t -> Nat.t -> Curve.point -> Curve.point
-
-(** {!Curve.msm} over the shared curve. {b Variable time} —
-    verification only. *)
-val msm : t -> (Nat.t * Curve.point) array -> Curve.point
 
 (** MSM accumulator for the randomized batch verifiers: collects terms
     [k * P] (or [k * -P] via {!acc_sub}) of a folded verification

@@ -27,4 +27,3 @@ let force t =
       | None -> v (* unreachable: the cell is never reset *)
     end
 
-let is_forced t = Atomic.get t.cell <> None

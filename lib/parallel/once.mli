@@ -17,6 +17,3 @@ val make : (unit -> 'a) -> 'a t
 (** First caller(s) compute, exactly one result is published, everyone
     returns the published (physically equal) value. *)
 val force : 'a t -> 'a
-
-(** Has a value been published yet? (Testing/diagnostics.) *)
-val is_forced : 'a t -> bool

@@ -110,8 +110,6 @@ type writer = {
 }
 
 let written w = w.w_total
-let writer_chunk_size w = w.w_chunk_size
-
 let push_frame w payload =
   let fr = Wal.frame payload in
   w.dev.Device.log_append fr;

@@ -79,9 +79,6 @@ val create_writer : ?chunk_size:int -> Device.t -> kind:string -> writer
 (** Records appended so far (including ones already durable). *)
 val written : writer -> int
 
-(** The writer's chunk size (from the header when resumed). *)
-val writer_chunk_size : writer -> int
-
 val append : writer -> string -> unit
 
 (** Flush the final partial chunk (if any), write the footer, sync, and

@@ -15,7 +15,6 @@ type t = {
   election_id : string;
   ea_signer : int;                   (* the EA's clique index: cfg.nv *)
   share_tags : bool;
-  cache_cap : int;
   cache : (string, bool) Hashtbl.t;
   st : stats;
 }
@@ -23,9 +22,11 @@ type t = {
 (* obligations before a batch pays for itself *)
 let min_batch = 4
 
-let create ?(cache_cap = 65536) ~keys ~gctx ~election_id ~ea_signer ~share_tags () =
+(* verdicts cached before an epoch flush *)
+let cache_cap = 65536
+
+let create ~keys ~gctx ~election_id ~ea_signer ~share_tags =
   { keys; gctx; election_id; ea_signer; share_tags;
-    cache_cap = max 16 cache_cap;
     cache = Hashtbl.create 1024;
     st = { batch_calls = 0; batched = 0; serial = 0; cache_hits = 0 } }
 
@@ -43,7 +44,7 @@ let obligation_key t ~signer body tag =
 (* The cache is bounded by epoch flush: past capacity it restarts
    empty. Misses only cost a serial re-verify, never correctness. *)
 let remember t key v =
-  if Hashtbl.length t.cache >= t.cache_cap then Hashtbl.reset t.cache;
+  if Hashtbl.length t.cache >= cache_cap then Hashtbl.reset t.cache;
   Hashtbl.replace t.cache key v
 
 let verify t ~signer body tag =

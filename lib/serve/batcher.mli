@@ -27,13 +27,11 @@ type stats = {
 type t
 
 val create :
-  ?cache_cap:int ->
   keys:Ddemos.Auth.keys ->
   gctx:Dd_group.Group_ctx.t ->
   election_id:string ->
   ea_signer:int ->
-  share_tags:bool ->
-  unit -> t
+  share_tags:bool -> t
 
 (** Batch-settle the obligations of a drained message batch. *)
 val preverify : t -> Ddemos.Messages.vc_msg list -> unit

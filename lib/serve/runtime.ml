@@ -163,7 +163,7 @@ let create ?(params = default_params) src =
         Array.init nv (fun i ->
             Batcher.create ~keys:src.sv_keys.(i) ~gctx:src.sv_gctx
               ~election_id:cfg.Types.election_id ~ea_signer:nv
-              ~share_tags:src.sv_verify_share_tags ());
+              ~share_tags:src.sv_verify_share_tags);
       staging = Array.init nv (fun _ -> ref []);
       conns = [];
       link_vc = Array.init nv (fun _ -> Array.make nv None);

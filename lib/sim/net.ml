@@ -115,8 +115,6 @@ let sample_latency t ~src ~dst =
     base +. t.latency.wan_extra
   end
 
-let machine_of t id = (node t id).machine
-
 let node_up t id = not (Fault_plan.crashed t.faults ~node:id ~at:(now t))
 
 (* Draw against probability [p]; never touches the DRBG when p = 0, so

@@ -55,9 +55,6 @@ val exec_at : t -> dst:node_id -> at:float -> cost:float -> (unit -> unit) -> un
     loopback latency (and endpoint crashes). *)
 val send : t -> src:node_id -> dst:node_id -> size:int -> cost:float -> (unit -> unit) -> unit
 
-(** The physical machine a node was registered on. *)
-val machine_of : t -> node_id -> int
-
 (** Is the node not crashed (per the fault plan) at the current virtual
     time? *)
 val node_up : t -> node_id -> bool

@@ -15,14 +15,3 @@ val min_sample : sample_set -> float
 (** [throughput ~completed ~duration] in operations per (virtual)
     second; 0 for an empty window. *)
 val throughput : completed:int -> duration:float -> float
-
-type summary = {
-  n : int;
-  mean_v : float;
-  median_v : float;
-  p99_v : float;
-  max_v : float;
-}
-
-val summarize : sample_set -> summary
-val pp_summary : Format.formatter -> summary -> unit

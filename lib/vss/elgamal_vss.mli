@@ -37,5 +37,3 @@ val reconstruct :
 
 val add_shares : Dd_group.Group_ctx.t -> share -> share -> share
 val sum_shares : Dd_group.Group_ctx.t -> x:int -> share list -> share
-val add_aux : Dd_group.Group_ctx.t -> aux -> aux -> aux
-val sum_aux : Dd_group.Group_ctx.t -> threshold:int -> aux list -> aux

@@ -23,6 +23,8 @@ let arb_nat512 = QCheck.make ~print:Nat.to_decimal (gen_nat_bits 512)
 let secp_p =
   Nat.of_hex "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f"
 
+(* NIST P-256's prime and order: no curve uses them, but as odd 256-bit
+   moduli they give the Montgomery path two more differential targets. *)
 let p256_p =
   Nat.of_hex "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff"
 
@@ -136,11 +138,6 @@ let test_modular_inv () =
   Alcotest.check nat "x * x^-1 = 1" Nat.one (Modular.mul ctx x (Modular.inv ctx x));
   Alcotest.check_raises "inv 0" Division_by_zero (fun () -> ignore (Modular.inv ctx Nat.zero))
 
-let test_modular_inv_composite () =
-  let ctx = Modular.create ~prime:false (Nat.of_int 100) in
-  (* 7 * 43 = 301 = 1 mod 100 *)
-  Alcotest.check nat "inverse mod composite" (Nat.of_int 43) (Modular.inv ctx (Nat.of_int 7))
-
 (* --- properties ------------------------------------------------------- *)
 
 let prop_add_comm =
@@ -222,10 +219,10 @@ let slow_secp_n = Modular.create ~fast:false secp_n
 let fast_p256_n = Modular.create p256_n
 let slow_p256_n = Modular.create ~fast:false p256_n
 
-(* All four 256-bit moduli the system actually computes under: the two
-   curve field primes (specialized folds for mul, Montgomery behind
-   pow/inv) and the two curve orders (Montgomery throughout). The slow
-   context is always pure Barrett. *)
+(* Four 256-bit moduli: secp256k1's field prime (specialized fold for
+   mul, Montgomery behind pow/inv), its order, and P-256's prime and
+   order (Montgomery throughout). The slow context is always pure
+   Barrett. *)
 let all_moduli =
   [ ("secp256k1-p", secp_p, fast_secp, slow_secp);
     ("p256-p", p256_p, fast_p256, slow_p256);
@@ -270,25 +267,22 @@ let prop_mont_mul_orders =
             && Nat.equal (Modular.sqr fast a) (Modular.mul slow a a))
          [ List.nth all_moduli 2; List.nth all_moduli 3 ])
 
-(* Domain entry/exit: of_mont (to_mont x) = reduce x on every modulus
-   that carries a domain, and a product of domain images exits to the
-   Barrett product. *)
-let prop_mont_roundtrip =
-  QCheck.Test.make ~name:"Montgomery domain entry/exit roundtrip" ~count:500
+(* pow/inv run their whole chain inside the Montgomery domain (entry,
+   REDC per step, exit) on every modulus here, the field prime
+   included; the Barrett context runs the plain chain. The residue
+   extremes 0, 1 and m-1 ride along with each random draw. *)
+let prop_mont_pow_inv =
+  QCheck.Test.make ~name:"Montgomery pow/inv = Barrett" ~count:40
     (QCheck.pair arb_nat arb_nat)
-    (fun (a, b) ->
+    (fun (a, e) ->
        List.for_all
-         (fun (_, _, fast, slow) ->
-            assert (Modular.has_montgomery fast);
-            let ra = Modular.reduce slow a and rb = Modular.reduce slow b in
-            let ma = Modular.to_mont fast ra and mb = Modular.to_mont fast rb in
-            Nat.equal (Modular.of_mont fast ma) ra
-            && Nat.equal
-                 (Modular.of_mont fast (Modular.mul_mont fast ma mb))
-                 (Modular.mul slow ra rb)
-            && Nat.equal
-                 (Modular.of_mont fast (Modular.sqr_mont fast ma))
-                 (Modular.mul slow ra ra))
+         (fun (_, m, fast, slow) ->
+            List.for_all
+              (fun x ->
+                 Nat.equal (Modular.pow fast x e) (Modular.pow slow x e)
+                 && (Nat.is_zero x
+                     || Nat.equal (Modular.inv fast x) (Modular.inv slow x)))
+              [ Nat.zero; Nat.one; Nat.sub m Nat.one; Modular.reduce slow a ])
          all_moduli)
 
 (* Aliasing: [mul ctx a a] must agree with the dedicated squaring
@@ -339,23 +333,16 @@ let prop_divmod_large_divisor =
 let test_fast_reduction_edges () =
   Alcotest.(check string) "secp strategy" "pseudo-mersenne-secp256k1"
     (Modular.reduction_name fast_secp);
-  Alcotest.(check string) "p256 strategy" "word-sliding-p256"
+  Alcotest.(check string) "p256 strategy" "montgomery"
     (Modular.reduction_name fast_p256);
   Alcotest.(check string) "odd non-curve modulus gets Montgomery" "montgomery"
     (Modular.reduction_name (Modular.create (Nat.of_int 97)));
   Alcotest.(check string) "even modulus stays Barrett" "barrett"
-    (Modular.reduction_name (Modular.create ~prime:false (Nat.of_int 100)));
+    (Modular.reduction_name (Modular.create (Nat.of_int 100)));
   Alcotest.(check string) "~fast:false forces Barrett" "barrett"
     (Modular.reduction_name slow_secp_n);
   Alcotest.(check string) "curve order gets Montgomery" "montgomery"
     (Modular.reduction_name fast_secp_n);
-  Alcotest.(check bool) "no Montgomery domain under ~fast:false" false
-    (Modular.has_montgomery slow_secp);
-  Alcotest.check_raises "to_mont without a domain"
-    (Invalid_argument
-       "Modular.to_mont: no Montgomery domain (modulus even, too large, or \
-        ~fast:false)")
-    (fun () -> ignore (Modular.to_mont slow_secp Nat.one));
   List.iter
     (fun (name, prime, fast, slow) ->
        let check label x =
@@ -380,7 +367,7 @@ let test_fast_reduction_edges () =
 (* Boundary residues through every strategy: 0, 1, m-1 (the residue
    extremes), and m, m+1, 2m-1 (just above the modulus, exercising the
    conditional-subtract tail of each reduction) — fed through [reduce],
-   [mul], [sqr], and the Montgomery domain where one exists. *)
+   [mul] and [sqr]. *)
 let test_boundary_residues () =
   List.iter
     (fun (name, m, fast, slow) ->
@@ -400,18 +387,7 @@ let test_boundary_residues () =
          (Modular.mul slow mm1 mm1);
        check "(m-1)^2 sqr" (Modular.sqr fast mm1) (Modular.mul slow mm1 mm1);
        check "sqr 0" (Modular.sqr fast Nat.zero) Nat.zero;
-       check "sqr 1" (Modular.sqr fast Nat.one) Nat.one;
-       if Modular.has_montgomery fast then begin
-         check "mont roundtrip 0"
-           (Modular.of_mont fast (Modular.to_mont fast Nat.zero)) Nat.zero;
-         check "mont roundtrip 1"
-           (Modular.of_mont fast (Modular.to_mont fast Nat.one)) Nat.one;
-         check "mont roundtrip m-1"
-           (Modular.of_mont fast (Modular.to_mont fast mm1)) mm1;
-         (* domain entry reduces: to_mont m = to_mont 0 *)
-         check "mont entry reduces m"
-           (Modular.to_mont fast m) (Modular.to_mont fast Nat.zero)
-       end)
+       check "sqr 1" (Modular.sqr fast Nat.one) Nat.one)
     all_moduli
 
 let test_barrett_edges () =
@@ -455,7 +431,6 @@ let () =
        [ Alcotest.test_case "basic ops" `Quick test_modular_basic;
          Alcotest.test_case "pow" `Quick test_modular_pow;
          Alcotest.test_case "inv prime" `Quick test_modular_inv;
-         Alcotest.test_case "inv composite" `Quick test_modular_inv_composite;
          Alcotest.test_case "Barrett edge cases" `Quick test_barrett_edges;
          Alcotest.test_case "fast reduction edge cases" `Quick test_fast_reduction_edges;
          Alcotest.test_case "boundary residues" `Quick test_boundary_residues ]);
@@ -469,5 +444,5 @@ let () =
        List.map QCheck_alcotest.to_alcotest
          [ prop_fast_reduce_secp; prop_fast_reduce_p256;
            prop_fast_mul_secp; prop_fast_mul_p256;
-           prop_mont_mul_orders; prop_mont_roundtrip; prop_sqr_aliasing;
+           prop_mont_mul_orders; prop_mont_pow_inv; prop_sqr_aliasing;
            prop_limb_kernels ]) ]

@@ -13,7 +13,19 @@ let roundtrip put get v =
 let test_varint_values () =
   List.iter
     (fun v -> Alcotest.(check int) (string_of_int v) v (roundtrip Wire.put_varint Wire.get_varint v))
-    [ 0; 1; 127; 128; 129; 300; 16383; 16384; 1_000_000; max_int / 2 ]
+    [ 0; 1; 127; 128; 129; 300; 16383; 16384; 1_000_000; max_int / 2; max_int ]
+
+(* Nine bytes whose last one sets bit 62 would decode to a negative int;
+   the decoder must refuse them rather than hand a negative length,
+   request id or channel to code that re-encodes it. *)
+let test_varint_sign_bit_rejected () =
+  let nine last = String.make 8 '\xff' ^ String.make 1 (Char.chr last) in
+  Alcotest.(check (option int)) "max_int still decodes" (Some max_int)
+    (Wire.decode (nine 0x3f) Wire.get_varint);
+  Alcotest.(check (option int)) "bit 62 rejected" None
+    (Wire.decode (nine 0x7f) Wire.get_varint);
+  Alcotest.(check (option int)) "bit 62 alone rejected" None
+    (Wire.decode (String.make 8 '\x80' ^ "\x40") Wire.get_varint)
 
 let test_varint_negative_rejected () =
   let w = Wire.writer () in
@@ -112,6 +124,7 @@ let () =
     [ ("wire",
        [ Alcotest.test_case "varint values" `Quick test_varint_values;
          Alcotest.test_case "negative varint" `Quick test_varint_negative_rejected;
+         Alcotest.test_case "sign-bit varint" `Quick test_varint_sign_bit_rejected;
          Alcotest.test_case "bytes" `Quick test_bytes_roundtrip;
          Alcotest.test_case "bool" `Quick test_bool;
          Alcotest.test_case "containers" `Quick test_containers;

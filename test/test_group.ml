@@ -134,42 +134,6 @@ let test_field_sqrt () =
   let minus_one = Dd_bignum.Modular.neg fp Dd_bignum.Nat.one in
   Alcotest.(check bool) "-1 is a non-residue" true (Curve.field_sqrt c minus_one = None)
 
-(* --- NIST P-256 (general-a arithmetic) ------------------------------------ *)
-
-let p256 = Curve.create Curve.nist_p256
-
-let test_p256_generator () =
-  let g256 = Curve.generator p256 in
-  (match Curve.to_affine p256 g256 with
-   | Some xy -> Alcotest.(check bool) "G on curve" true (Curve.on_curve p256 xy)
-   | None -> Alcotest.fail "generator infinity");
-  Alcotest.(check bool) "order annihilates" true
-    (Curve.is_infinity (Curve.mul p256 (Curve.order p256) g256))
-
-let test_p256_2g_known () =
-  (* NIST k=2 test vector *)
-  match Curve.to_affine p256 (Curve.double p256 (Curve.generator p256)) with
-  | Some (x, y) ->
-    Alcotest.(check string) "2G.x"
-      "7cf27b188d034f7e8a52380304b51ac3c08969e277f21b35a60b48fc47669978" (Nat.to_hex x);
-    Alcotest.(check string) "2G.y"
-      "7775510db8ed040293d9ac69f7430dbba7dade63ce982299e04b79d227873d1" (Nat.to_hex y)
-  | None -> Alcotest.fail "2G infinity"
-
-let test_p256_group_ctx () =
-  (* a full Group_ctx over P-256: H derivation and fixed-base tables *)
-  let gctx256 = Group_ctx.create ~params:Curve.nist_p256 () in
-  let k = Nat.of_hex "1234567890abcdef1234567890abcdef" in
-  Alcotest.(check bool) "table matches plain" true
-    (Curve.equal (Group_ctx.curve gctx256)
-       (Group_ctx.mul_g gctx256 k)
-       (Curve.mul (Group_ctx.curve gctx256) k (Group_ctx.g gctx256)));
-  (* commitments work over P-256 too *)
-  let rng = Dd_crypto.Drbg.create ~seed:"p256" in
-  let cmt, opening = Dd_commit.Elgamal.commit_random gctx256 rng ~msg:Nat.one in
-  Alcotest.(check bool) "elgamal over p256" true
-    (Dd_commit.Elgamal.verify gctx256 cmt opening)
-
 (* --- group-law properties ----------------------------------------------- *)
 
 let prop_add_comm =
@@ -228,21 +192,14 @@ let naive_mul curve k pt =
   done;
   !acc
 
-(* Both curves: the uniform fixed-window path covers a <> 0 arithmetic
-   on P-256, the wNAF path covers negated-point table entries. *)
-let curves = [ ("secp256k1", c, g); ("p256", p256, Curve.generator p256) ]
-
 let prop_mul_matches_naive =
   QCheck.Test.make ~name:"mul and mul_vartime = naive double-and-add" ~count:25
     (QCheck.pair arb_scalar arb_scalar)
     (fun (a, k) ->
-       List.for_all
-         (fun (_, cv, gv) ->
-            let pt = naive_mul cv a gv in
-            let want = naive_mul cv k pt in
-            Curve.equal cv want (Curve.mul cv k pt)
-            && Curve.equal cv want (Curve.mul_vartime cv k pt))
-         curves)
+       let pt = naive_mul c a g in
+       let want = naive_mul c k pt in
+       Curve.equal c want (Curve.mul c k pt)
+       && Curve.equal c want (Curve.mul_vartime c k pt))
 
 let prop_mul2_matches_parts =
   QCheck.Test.make ~name:"mul2 table u v P = uG + vP" ~count:25
@@ -273,34 +230,27 @@ let prop_to_affine_batch_matches =
          batch pts)
 
 let test_mul_edge_cases () =
-  List.iter
-    (fun (name, cv, gv) ->
-       let order = Curve.order cv in
-       let chk label want got =
-         Alcotest.(check bool) (Printf.sprintf "%s %s" name label) true
-           (Curve.equal cv want got)
-       in
-       chk "vartime 0*G = O" Curve.infinity (Curve.mul_vartime cv Nat.zero gv);
-       chk "vartime k*O = O" Curve.infinity
-         (Curve.mul_vartime cv (Nat.of_int 7) Curve.infinity);
-       chk "vartime n*G = O" Curve.infinity (Curve.mul_vartime cv order gv);
-       chk "vartime (n-1)*G = -G" (Curve.neg cv gv)
-         (Curve.mul_vartime cv (Nat.sub order Nat.one) gv);
-       chk "vartime (n+1)*G = G" gv
-         (Curve.mul_vartime cv (Nat.add order Nat.one) gv);
-       chk "fixed-window n*G = O" Curve.infinity (Curve.mul cv order gv);
-       chk "fixed-window (n-1)*G = -G" (Curve.neg cv gv)
-         (Curve.mul cv (Nat.sub order Nat.one) gv);
-       (* P + (-P) through the vartime adds *)
-       chk "P + (-P) = O" Curve.infinity
-         (Curve.add cv (Curve.mul_vartime cv Nat.two gv)
-            (Curve.neg cv (Curve.mul_vartime cv Nat.two gv))))
-    curves;
-  (* mul2 degenerate inputs *)
-  let table = Group_ctx.g_table gctx in
+  let order = Curve.order c in
   let chk label want got =
     Alcotest.(check bool) label true (Curve.equal c want got)
   in
+  chk "vartime 0*G = O" Curve.infinity (Curve.mul_vartime c Nat.zero g);
+  chk "vartime k*O = O" Curve.infinity
+    (Curve.mul_vartime c (Nat.of_int 7) Curve.infinity);
+  chk "vartime n*G = O" Curve.infinity (Curve.mul_vartime c order g);
+  chk "vartime (n-1)*G = -G" (Curve.neg c g)
+    (Curve.mul_vartime c (Nat.sub order Nat.one) g);
+  chk "vartime (n+1)*G = G" g
+    (Curve.mul_vartime c (Nat.add order Nat.one) g);
+  chk "fixed-window n*G = O" Curve.infinity (Curve.mul c order g);
+  chk "fixed-window (n-1)*G = -G" (Curve.neg c g)
+    (Curve.mul c (Nat.sub order Nat.one) g);
+  (* P + (-P) through the vartime adds *)
+  chk "P + (-P) = O" Curve.infinity
+    (Curve.add c (Curve.mul_vartime c Nat.two g)
+       (Curve.neg c (Curve.mul_vartime c Nat.two g)));
+  (* mul2 degenerate inputs *)
+  let table = Group_ctx.g_table gctx in
   chk "mul2 0 0 P = O" Curve.infinity (Curve.mul2 c table Nat.zero Nat.zero g);
   chk "mul2 u 0 P = uG" (Curve.mul c (Nat.of_int 9) g)
     (Curve.mul2 c table (Nat.of_int 9) Nat.zero g);
@@ -319,28 +269,25 @@ let test_to_affine_batch_edges () =
 
 (* --- differential: multi-scalar multiplication --------------------------- *)
 
-let naive_msm cv pairs =
-  Array.fold_left (fun acc (k, p) -> Curve.add cv acc (naive_mul cv k p)) Curve.infinity pairs
+let naive_msm pairs =
+  Array.fold_left (fun acc (k, p) -> Curve.add c acc (naive_mul c k p)) Curve.infinity pairs
 
-(* secp256k1 exercises the GLV-split Strauss entries and the cached
-   wide generator table; P-256 the plain-wNAF entries. *)
+(* Exercises the GLV-split Strauss entries and the cached wide
+   generator table. *)
 let prop_msm_matches_naive =
   QCheck.Test.make ~name:"msm = sum of naive muls" ~count:12
     (QCheck.list_of_size (QCheck.Gen.int_range 0 8) (QCheck.pair arb_scalar arb_scalar))
     (fun seeds ->
-       List.for_all
-         (fun (_, cv, gv) ->
-            let pairs =
-              Array.of_list
-                (List.mapi
-                   (fun i (k, a) ->
-                      (* every third point is the generator, so the run
-                         also covers the precomputed-table fast path *)
-                      if i mod 3 = 2 then (k, gv) else (k, naive_mul cv a gv))
-                   seeds)
-            in
-            Curve.equal cv (naive_msm cv pairs) (Curve.msm cv pairs))
-         curves)
+       let pairs =
+         Array.of_list
+           (List.mapi
+              (fun i (k, a) ->
+                 (* every third point is the generator, so the run
+                    also covers the precomputed-table fast path *)
+                 if i mod 3 = 2 then (k, g) else (k, naive_mul c a g))
+              seeds)
+       in
+       Curve.equal c (naive_msm pairs) (Curve.msm c pairs))
 
 let prop_msm_forced_pippenger =
   QCheck.Test.make ~name:"forced-window Pippenger = naive" ~count:8
@@ -348,13 +295,10 @@ let prop_msm_forced_pippenger =
        (QCheck.list_of_size (QCheck.Gen.int_range 1 6) (QCheck.pair arb_scalar arb_scalar))
        (QCheck.int_range 1 16))
     (fun (seeds, w) ->
-       List.for_all
-         (fun (_, cv, gv) ->
-            let pairs =
-              Array.of_list (List.map (fun (k, a) -> (k, naive_mul cv a gv)) seeds)
-            in
-            Curve.equal cv (naive_msm cv pairs) (Curve.msm ~window:w cv pairs))
-         curves)
+       let pairs =
+         Array.of_list (List.map (fun (k, a) -> (k, naive_mul c a g)) seeds)
+       in
+       Curve.equal c (naive_msm pairs) (Curve.msm ~window:w c pairs))
 
 let prop_msm_pre_matches_naive =
   QCheck.Test.make ~name:"msm_pre = naive over precomputed + plain pairs" ~count:8
@@ -362,54 +306,47 @@ let prop_msm_pre_matches_naive =
        (QCheck.list_of_size (QCheck.Gen.int_range 0 3) (QCheck.pair arb_scalar arb_scalar))
        (QCheck.list_of_size (QCheck.Gen.int_range 0 3) (QCheck.pair arb_scalar arb_scalar)))
     (fun (pre_seeds, pair_seeds) ->
-       List.for_all
-         (fun (_, cv, gv) ->
-            let pre_pts = List.map (fun (k, a) -> (k, naive_mul cv a gv)) pre_seeds in
-            let pairs = List.map (fun (k, a) -> (k, naive_mul cv a gv)) pair_seeds in
-            let want = naive_msm cv (Array.of_list (pre_pts @ pairs)) in
-            let pre =
-              Array.of_list (List.map (fun (k, p) -> (k, Curve.precompute cv p)) pre_pts)
-            in
-            Curve.equal cv want (Curve.msm_pre cv pre (Array.of_list pairs)))
-         curves)
+       let pre_pts = List.map (fun (k, a) -> (k, naive_mul c a g)) pre_seeds in
+       let pairs = List.map (fun (k, a) -> (k, naive_mul c a g)) pair_seeds in
+       let want = naive_msm (Array.of_list (pre_pts @ pairs)) in
+       let pre =
+         Array.of_list (List.map (fun (k, p) -> (k, Curve.precompute c p)) pre_pts)
+       in
+       Curve.equal c want (Curve.msm_pre c pre (Array.of_list pairs)))
 
 let test_msm_edge_cases () =
-  List.iter
-    (fun (name, cv, gv) ->
-       let order = Curve.order cv in
-       let chk label want got =
-         Alcotest.(check bool) (Printf.sprintf "%s %s" name label) true
-           (Curve.equal cv want got)
-       in
-       let chk_naive label pairs = chk label (naive_msm cv pairs) (Curve.msm cv pairs) in
-       let p = Curve.mul_int cv 7 gv in
-       chk "n=0" Curve.infinity (Curve.msm cv [||]);
-       chk_naive "n=1" [| (Nat.of_int 42, p) |];
-       chk "zero and order scalars drop" (Curve.mul_int cv 5 p)
-         (Curve.msm cv [| (Nat.zero, gv); (Nat.of_int 5, p); (order, gv) |]);
-       chk "infinity points drop" (Curve.mul_int cv 9 gv)
-         (Curve.msm cv [| (Nat.of_int 3, Curve.infinity); (Nat.of_int 9, gv) |]);
-       chk "all-degenerate batch" Curve.infinity
-         (Curve.msm cv [| (Nat.zero, p); (Nat.of_int 4, Curve.infinity); (order, gv) |]);
-       chk "duplicate points merge" (Curve.mul_int cv 10 p)
-         (Curve.msm cv [| (Nat.of_int 4, p); (Nat.of_int 6, p) |]);
-       chk "P and -P cancel" Curve.infinity
-         (Curve.msm cv [| (Nat.of_int 8, p); (Nat.of_int 8, Curve.neg cv p) |]);
-       (* tiny scalars ride the direct-add path (pinned batch weights) *)
-       chk_naive "tiny scalars"
-         [| (Nat.one, p); (Nat.two, gv); (Nat.of_int 3, Curve.double cv p) |];
-       chk_naive "scalar above the order reduces"
-         [| (Nat.add order (Nat.of_int 5), p) |];
-       (* precompute: the table is faithful, and degenerate inputs are inert *)
-       chk "precomp_point returns the point" p (Curve.precomp_point (Curve.precompute cv p));
-       let k = Nat.of_hex "fedcba9876543210fedcba9876543210fedcba9876543210" in
-       chk "msm_pre with empty pairs" (naive_mul cv k p)
-         (Curve.msm_pre cv [| (k, Curve.precompute cv p) |] [||]);
-       chk "precomputed infinity is inert" (naive_mul cv k p)
-         (Curve.msm_pre cv
-            [| (Nat.of_int 6, Curve.precompute cv Curve.infinity) |]
-            [| (k, p) |]))
-    curves
+  let order = Curve.order c in
+  let chk label want got =
+    Alcotest.(check bool) label true (Curve.equal c want got)
+  in
+  let chk_naive label pairs = chk label (naive_msm pairs) (Curve.msm c pairs) in
+  let p = Curve.mul_int c 7 g in
+  chk "n=0" Curve.infinity (Curve.msm c [||]);
+  chk_naive "n=1" [| (Nat.of_int 42, p) |];
+  chk "zero and order scalars drop" (Curve.mul_int c 5 p)
+    (Curve.msm c [| (Nat.zero, g); (Nat.of_int 5, p); (order, g) |]);
+  chk "infinity points drop" (Curve.mul_int c 9 g)
+    (Curve.msm c [| (Nat.of_int 3, Curve.infinity); (Nat.of_int 9, g) |]);
+  chk "all-degenerate batch" Curve.infinity
+    (Curve.msm c [| (Nat.zero, p); (Nat.of_int 4, Curve.infinity); (order, g) |]);
+  chk "duplicate points merge" (Curve.mul_int c 10 p)
+    (Curve.msm c [| (Nat.of_int 4, p); (Nat.of_int 6, p) |]);
+  chk "P and -P cancel" Curve.infinity
+    (Curve.msm c [| (Nat.of_int 8, p); (Nat.of_int 8, Curve.neg c p) |]);
+  (* tiny scalars ride the direct-add path (pinned batch weights) *)
+  chk_naive "tiny scalars"
+    [| (Nat.one, p); (Nat.two, g); (Nat.of_int 3, Curve.double c p) |];
+  chk_naive "scalar above the order reduces"
+    [| (Nat.add order (Nat.of_int 5), p) |];
+  (* precompute: the table is faithful, and degenerate inputs are inert *)
+  chk "precomp_point returns the point" p (Curve.precomp_point (Curve.precompute c p));
+  let k = Nat.of_hex "fedcba9876543210fedcba9876543210fedcba9876543210" in
+  chk "msm_pre with empty pairs" (naive_mul c k p)
+    (Curve.msm_pre c [| (k, Curve.precompute c p) |] [||]);
+  chk "precomputed infinity is inert" (naive_mul c k p)
+    (Curve.msm_pre c
+       [| (Nat.of_int 6, Curve.precompute c Curve.infinity) |]
+       [| (k, p) |])
 
 let () =
   Alcotest.run "group"
@@ -426,10 +363,6 @@ let () =
          Alcotest.test_case "Group_ctx.mul fast path" `Quick test_group_ctx_mul_fast_path;
          Alcotest.test_case "compressed codec" `Quick test_compressed_codec;
          Alcotest.test_case "field sqrt" `Quick test_field_sqrt ]);
-      ("nist-p256",
-       [ Alcotest.test_case "generator + order" `Quick test_p256_generator;
-         Alcotest.test_case "2G known answer" `Quick test_p256_2g_known;
-         Alcotest.test_case "group ctx + commitments" `Quick test_p256_group_ctx ]);
       ("group-laws",
        List.map QCheck_alcotest.to_alcotest
          [ prop_add_comm; prop_add_assoc; prop_scalar_distributes; prop_double_is_add;

@@ -131,7 +131,7 @@ let test_batcher_verdicts () =
   let keys = Auth.deal_clique ~scheme:Auth.Schnorr_scheme ~gctx ~seed:"batch-clique" ~n:4 in
   let b =
     Batcher.create ~keys:keys.(0) ~gctx ~election_id ~ea_signer:3
-      ~share_tags:false ()
+      ~share_tags:false
   in
   let body serial = Messages.endorsement_body ~election_id ~serial ~code:"c" in
   let tag signer serial = Auth.sign keys.(signer) (body serial) in
@@ -263,6 +263,32 @@ let test_backpressure_sheds_votes () =
   pop ();
   Alcotest.(check int) "every vote answered" 8 !replies;
   Alcotest.(check bool) "sheds say overloaded" true (!overloaded > 0)
+
+(* A Client_vote whose [req] varint sets the sign bit once decoded to a
+   negative request id; the node's rejection then failed to encode and
+   the exception escaped [Runtime.step]. The frame must be refused as
+   malformed, and honest clients on the same runtime still served. *)
+let test_sign_bit_varint_frame () =
+  let seed = "sign-bit" in
+  let t = Runtime.create (Runtime.source_prf serve_cfg ~seed) in
+  let hostile = Runtime.client_conn t ~node:0 in
+  (* kind 0 (vote), channel 0, req = nine bytes with bit 62 set,
+     serial 0, code "x" *)
+  let payload = "\x00\x00" ^ String.make 8 '\xff' ^ "\x7f" ^ "\x00\x01x" in
+  ignore (Transport.send_string hostile (Frame.encode payload) : int);
+  ignore (Runtime.run_until_idle t : int);
+  Alcotest.(check int) "frame counted malformed" 1 (Runtime.stats t).Runtime.malformed;
+  let r =
+    Loadgen.run
+      ~params:{ Loadgen.lg_clients = 3; lg_seed = seed; lg_max_steps = 200_000 }
+      ~conn_for:(fun ~client:_ ~node -> Runtime.client_conn t ~node)
+      ~step:(fun () -> Runtime.step t)
+      ~ballot_for:(fun serial ->
+          Ballot_gen.voter_ballot ~seed ~serial ~m:serve_cfg.Types.m_options)
+      ~nv:serve_cfg.Types.nv ~votes:(intents 6) ()
+  in
+  Alcotest.(check int) "honest clients receipted" 6 r.Voter_driver.receipts_ok;
+  Alcotest.(check int) "nothing lost" 0 r.Voter_driver.in_flight
 
 (* A reply is for the client whose Mux channel it carries. The scripted
    server answers every vote twice: first a spoofed rejection on
@@ -407,6 +433,8 @@ let () =
        [ Alcotest.test_case "all receipts" `Quick test_pipe_serving_all_receipts;
          Alcotest.test_case "backpressure sheds" `Quick test_backpressure_sheds_votes;
          Alcotest.test_case "batching transparent" `Quick test_batching_transparent;
+         Alcotest.test_case "sign-bit varint frame refused" `Quick
+           test_sign_bit_varint_frame;
          Alcotest.test_case "reply on the wrong channel ignored" `Quick
            test_loadgen_ignores_wrong_channel ]
        @ List.map QCheck_alcotest.to_alcotest [ prop_pipe_serving_torn ]);
